@@ -378,6 +378,90 @@ let test_map_pin () =
       Alcotest.(check int) "unpinned entry became evictable" 6
         (Shard_map.materializations map))
 
+(* --- golden bytes of the keyed hot path ---------------------------------
+
+   The exact bytes a keyed operation puts on the wire and into a shard
+   log.  These encodings are the keyed service's hot path: any change to
+   them changes what every benchmarked operation costs, so they are
+   pinned byte for byte. *)
+
+let hex s =
+  String.concat ""
+    (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+
+let golden_replica = Replica.make ~op_no:7 ~version:5 ~partition:(ss [ 0; 1; 3 ])
+
+let golden_frames =
+  [
+    ( "klock-request",
+      Wire.KLock_request { op = 0x2_00_00_09; keys = [ "k1"; "k2" ] },
+      "1b000000445657315e017706010002001009000002020002006b3102" ^
+      "006b32" );
+    ( "kstate-request",
+      Wire.KState_request { round = 4; keys = [ "k1" ] },
+      "1700000044565731b9003b02010002001204000000010002006b31" );
+    ( "kstate-reply",
+      Wire.KState_reply { round = 4; fresh = true; states = [ ("k1", golden_replica) ] },
+      "38000000445657317202b04a01000200130400000001010002006b31" ^
+      "4456543118006801070000000000000005000000000000000b000000" ^
+      "00000000" );
+    ( "kcommit",
+      Wire.KCommit
+        { key = "k1"; op_no = 8; version = 6; partition = ss [ 0; 1; 3 ];
+          value = Some "v1"; rid = (3 lsl 32) lor 9 },
+      "380000004456573185011027010002001402006b3108000000000000" ^
+      "0006000000000000000b000000000000000102000000763109000000" ^
+      "03000000" );
+    ( "kcommit-read",
+      Wire.KCommit
+        { key = "k1"; op_no = 9; version = 6; partition = ss [ 0; 1; 3 ];
+          value = None; rid = 0 },
+      "3200000044565731d000831b010002001402006b3109000000000000" ^
+      "0006000000000000000b00000000000000000000000000000000" );
+    ( "kdata-request",
+      Wire.KData_request { round = 6; key = "k1" },
+      "1500000044565731bd002c0201000200150600000002006b31" );
+    ( "kdata-reply",
+      Wire.KData_reply
+        { round = 6; key = "k1"; version = 6; value = Some "v1"; rids = [ (3, 9) ] },
+      "34000000445657317b013d2601000200160600000002006b31060000" ^
+      "00000000000102000000763101000000030000000900000000000000" );
+    ( "lock-reply",
+      Wire.Lock_reply { op = 0x2_00_00_09; granted = true },
+      "120000004456573116007a0001000200060900000201" );
+    ( "abstain",
+      Wire.Abstain { round = 4 },
+      "110000004456573117007b00010002000f04000000" );
+  ]
+
+let test_golden_wire () =
+  List.iter
+    (fun (name, payload, expected) ->
+      let frame = Wire.encode { Wire.src = 1; dst = 2; payload } in
+      Alcotest.(check string) (name ^ " bytes") expected (hex frame))
+    golden_frames
+
+let test_golden_shard_record () =
+  with_scratch (fun dir ->
+      let store, _ = Shard_store.open_store ~dir ~site:0 ~shards:1 () in
+      Shard_store.commit store ~key:"k1" ~rid:((3 lsl 32) lor 9)
+        {
+          Shard_store.op_no = 8;
+          version = 6;
+          partition = ss [ 0; 1; 3 ];
+          data_version = 6;
+          value = Some "v1";
+        };
+      Shard_store.close store;
+      let path =
+        Filename.concat (Shard_store.shards_dir ~dir ~site:0) "shard-0.dvl"
+      in
+      Alcotest.(check string) "shard commit record bytes"
+        ("3c00000044565331750169290002006b310800000000000000060000" ^
+         "00000000000b00000000000000060000000000000002020000007631" ^
+         "0900000003000000")
+        (hex (read_file path)))
+
 let test_map_validation () =
   with_scratch (fun dir ->
       let store, _ = Shard_store.open_store ~dir ~site:0 ~shards:1 () in
@@ -691,6 +775,9 @@ let suite =
     Alcotest.test_case "map: LRU bounds residency" `Quick test_map_lru;
     Alcotest.test_case "map: pinned entries never evicted" `Quick test_map_pin;
     Alcotest.test_case "map: cap validated" `Quick test_map_validation;
+    Alcotest.test_case "golden: keyed wire frames" `Quick test_golden_wire;
+    Alcotest.test_case "golden: shard commit record" `Quick
+      test_golden_shard_record;
     Alcotest.test_case "live: keys vote independently" `Quick
       test_live_multikey;
     Alcotest.test_case "live: RECOVER refused in the sharded space" `Quick
