@@ -48,6 +48,7 @@ module Harness = Dynvote_chaos.Harness
 module Checker = Dynvote_mc.Checker
 module Explorer = Dynvote_mc.Explorer
 module Pool = Dynvote_exec.Pool
+module Json = Perfbench.Json
 
 (* -j N (or -jN), falling back to DYNVOTE_JOBS, falling back to the
    hardware's recommended domain count. *)
@@ -67,6 +68,21 @@ let jobs =
       else scan (i + 1)
   in
   scan 1
+
+(* Every BENCH_*.json leaves through the benchmark's one JSON writer. *)
+let write_json path value =
+  let oc = open_out path in
+  output_string oc (Json.to_string value);
+  output_char oc '\n';
+  close_out oc;
+  Fmt.pr "wrote %s@." path
+
+let steal_json (t : Pool.steal_stats) =
+  Json.Obj
+    [ ("tasks_executed", Json.Int t.Pool.tasks_executed);
+      ("steals", Json.Int t.Pool.steals);
+      ("failed_steals", Json.Int t.Pool.failed_steals);
+      ("max_deque_depth", Json.Int t.Pool.max_deque_depth) ]
 
 let section name description =
   Fmt.pr "@.=================== %s ===================@." name;
@@ -814,26 +830,36 @@ let mc () =
     resident_bs (old_bs /. resident_bs);
   Fmt.pr "  + spill tier            %8.1f bytes/state resident  (%.1fx, %d spilled)@."
     spill_bs (old_bs /. spill_bs) spilled;
-  let fl v = if Float.is_finite v then Printf.sprintf "%.6g" v else "null" in
-  let oc = open_out "BENCH_MC.json" in
-  Printf.fprintf oc
-    "{\"schema\":\"dynvote-bench-mc/2\",\"depth\":%d,\"jobs\":%d,\"policies\":{%s},\"store\":{\"sampled_states\":%d,\"canonical_bytes_avg\":%s,\"hashtbl_bytes_per_state\":%s,\"resident_bytes_per_state\":%s,\"spill_resident_bytes_per_state\":%s,\"spilled_states\":%d,\"resident_ratio\":%s,\"spill_ratio\":%s}}\n"
-    depth jobs
-    (String.concat ","
-       (List.map
-          (fun (name, rr, full_t, reduction, rate, verdict,
-                (t : Pool.steal_stats)) ->
-            Printf.sprintf
-              "\"%s\":{\"states\":%d,\"transitions_full\":%d,\"transitions_reduced\":%d,\"reduction\":%s,\"trans_per_s\":%s,\"verdict\":\"%s\",\"steal_totals\":{\"tasks_executed\":%d,\"steals\":%d,\"failed_steals\":%d,\"max_deque_depth\":%d}}"
-              name rr.Explorer.distinct full_t rr.Explorer.transitions
-              (fl reduction) (fl rate) verdict t.Pool.tasks_executed
-              t.Pool.steals t.Pool.failed_steals t.Pool.max_deque_depth)
-          policy_rows))
-    sampled (fl canon_bytes) (fl old_bs) (fl resident_bs) (fl spill_bs) spilled
-    (fl (old_bs /. resident_bs))
-    (fl (old_bs /. spill_bs));
-  close_out oc;
-  Fmt.pr "wrote BENCH_MC.json@."
+  write_json "BENCH_MC.json"
+    Json.(
+      Obj
+        [ ("schema", String "dynvote-bench-mc/2");
+          ("depth", Int depth);
+          ("jobs", Int jobs);
+          ( "policies",
+            Obj
+              (List.map
+                 (fun (name, rr, full_t, reduction, rate, verdict, totals) ->
+                   ( name,
+                     Obj
+                       [ ("states", Int rr.Explorer.distinct);
+                         ("transitions_full", Int full_t);
+                         ("transitions_reduced", Int rr.Explorer.transitions);
+                         ("reduction", Float reduction);
+                         ("trans_per_s", Float rate);
+                         ("verdict", String verdict);
+                         ("steal_totals", steal_json totals) ] ))
+                 policy_rows) );
+          ( "store",
+            Obj
+              [ ("sampled_states", Int sampled);
+                ("canonical_bytes_avg", Float canon_bytes);
+                ("hashtbl_bytes_per_state", Float old_bs);
+                ("resident_bytes_per_state", Float resident_bs);
+                ("spill_resident_bytes_per_state", Float spill_bs);
+                ("spilled_states", Int spilled);
+                ("resident_ratio", Float (old_bs /. resident_bs));
+                ("spill_ratio", Float (old_bs /. spill_bs)) ] ) ])
 
 (* ------------------------------------------------------------------ *)
 (* PAR: the execution layer itself.  The workload scales with the
@@ -854,7 +880,7 @@ let mc () =
    counters recorded in BENCH_PAR.json (schema 2). *)
 
 let par () =
-  let n = max jobs 4 in
+  let n = jobs in
   let cores = Domain.recommended_domain_count () in
   section "PAR"
     (Printf.sprintf
@@ -931,88 +957,41 @@ let par () =
   let speedup = total_seq /. total_par in
   Fmt.pr "  total: -j1 %.2f s, -j%d %.2f s, speedup %.2fx on %d core%s@." total_seq n
     total_par speedup cores (if cores = 1 then "" else "s");
-  let fl v = if Float.is_finite v then Printf.sprintf "%.6g" v else "null" in
-  let oc = open_out "BENCH_PAR.json" in
-  Printf.fprintf oc
-    "{\"schema\":\"dynvote-bench-par/2\",\"jobs\":%d,\"cores\":%d,\"sections\":{\"study\":{\"horizon_days\":%s,\"j1_wall_s\":%s,\"jn_wall_s\":%s,\"speedup\":%s,\"identical\":%b},\"mc\":{\"policy\":\"%s\",\"space\":\"full\",\"depth\":%d,\"j1_wall_s\":%s,\"shard_wall_s\":%s,\"steal_wall_s\":%s,\"shard_speedup\":%s,\"steal_speedup\":%s,\"identical\":%b,\"verdict\":\"%s\",\"steal_totals\":{\"tasks_executed\":%d,\"steals\":%d,\"failed_steals\":%d,\"max_deque_depth\":%d}}},\"total\":{\"j1_wall_s\":%s,\"jn_wall_s\":%s,\"speedup\":%s}}\n"
-    n cores (fl horizon) (fl study_seq_s) (fl study_par_s)
-    (fl (study_seq_s /. study_par_s))
-    study_identical mc_policy mc_depth (fl mc_seq_s) (fl mc_shard_s)
-    (fl mc_steal_s)
-    (fl (mc_seq_s /. mc_shard_s))
-    (fl (mc_seq_s /. mc_steal_s))
-    mc_identical base totals.Pool.tasks_executed totals.Pool.steals
-    totals.Pool.failed_steals totals.Pool.max_deque_depth
-    (fl total_seq) (fl total_par) (fl speedup);
-  close_out oc;
-  Fmt.pr "wrote BENCH_PAR.json@.";
+  write_json "BENCH_PAR.json"
+    Json.(
+      Obj
+        [ ("schema", String "dynvote-bench-par/2");
+          ("jobs", Int n);
+          ("cores", Int cores);
+          ( "sections",
+            Obj
+              [ ( "study",
+                  Obj
+                    [ ("horizon_days", Float horizon);
+                      ("j1_wall_s", Float study_seq_s);
+                      ("jn_wall_s", Float study_par_s);
+                      ("speedup", Float (study_seq_s /. study_par_s));
+                      ("identical", Bool study_identical) ] );
+                ( "mc",
+                  Obj
+                    [ ("policy", String mc_policy);
+                      ("space", String "full");
+                      ("depth", Int mc_depth);
+                      ("j1_wall_s", Float mc_seq_s);
+                      ("shard_wall_s", Float mc_shard_s);
+                      ("steal_wall_s", Float mc_steal_s);
+                      ("shard_speedup", Float (mc_seq_s /. mc_shard_s));
+                      ("steal_speedup", Float (mc_seq_s /. mc_steal_s));
+                      ("identical", Bool mc_identical);
+                      ("verdict", String base);
+                      ("steal_totals", steal_json totals) ] ) ] );
+          ( "total",
+            Obj
+              [ ("j1_wall_s", Float total_seq);
+                ("jn_wall_s", Float total_par);
+                ("speedup", Float speedup) ] ) ]);
   if not (study_identical && mc_identical) then
     failwith "PAR: parallel results diverged from sequential"
-
-(* The boxed array-of-records layout the structure-of-arrays
-   Event_queue replaced, kept as the MICRO baseline so the before/after
-   ns/op stays measured rather than remembered. *)
-module Boxed_queue = struct
-  type 'a entry = { time : float; seq : int; payload : 'a }
-
-  type 'a t = { mutable heap : 'a entry array; mutable size : int; mutable next_seq : int }
-
-  let create () = { heap = [||]; size = 0; next_seq = 0 }
-  let precedes a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
-
-  let grow t =
-    let capacity = Array.length t.heap in
-    let heap = Array.make (if capacity = 0 then 16 else capacity * 2) t.heap.(0) in
-    Array.blit t.heap 0 heap 0 t.size;
-    t.heap <- heap
-
-  let rec sift_up t i =
-    if i > 0 then begin
-      let parent = (i - 1) / 2 in
-      if precedes t.heap.(i) t.heap.(parent) then begin
-        let tmp = t.heap.(i) in
-        t.heap.(i) <- t.heap.(parent);
-        t.heap.(parent) <- tmp;
-        sift_up t parent
-      end
-    end
-
-  let rec sift_down t i =
-    let left = (2 * i) + 1 in
-    if left < t.size then begin
-      let right = left + 1 in
-      let smallest =
-        if right < t.size && precedes t.heap.(right) t.heap.(left) then right else left
-      in
-      if precedes t.heap.(smallest) t.heap.(i) then begin
-        let tmp = t.heap.(i) in
-        t.heap.(i) <- t.heap.(smallest);
-        t.heap.(smallest) <- tmp;
-        sift_down t smallest
-      end
-    end
-
-  let add t ~time payload =
-    let entry = { time; seq = t.next_seq; payload } in
-    t.next_seq <- t.next_seq + 1;
-    if t.size = 0 && Array.length t.heap = 0 then t.heap <- Array.make 16 entry;
-    if t.size = Array.length t.heap then grow t;
-    t.heap.(t.size) <- entry;
-    t.size <- t.size + 1;
-    sift_up t (t.size - 1)
-
-  let pop t =
-    if t.size = 0 then None
-    else begin
-      let top = t.heap.(0) in
-      t.size <- t.size - 1;
-      if t.size > 0 then begin
-        t.heap.(0) <- t.heap.(t.size);
-        sift_down t 0
-      end;
-      Some (top.time, top.payload)
-    end
-end
 
 (* Bechamel micro-benchmarks of the hot primitives. *)
 let micro () =
@@ -1029,10 +1008,8 @@ let micro () =
   let up = Site_set.remove 3 (Topology.all_sites Topology.ucsd) in
   let rng = Dynvote_prng.Rng.of_seed 99 in
   let queue = Dynvote_des.Event_queue.create () in
-  let boxed_queue = Boxed_queue.create () in
   for i = 1 to 1024 do
-    Dynvote_des.Event_queue.add queue ~time:(float_of_int (i * 7 mod 1024)) i;
-    Boxed_queue.add boxed_queue ~time:(float_of_int (i * 7 mod 1024)) i
+    Dynvote_des.Event_queue.add queue ~time:(float_of_int (i * 7 mod 1024)) i
   done;
   let refresh_ctx = Operation.make_ctx ordering in
   let tests =
@@ -1057,10 +1034,6 @@ let micro () =
         (Staged.stage (fun () ->
              Dynvote_des.Event_queue.add queue ~time:512.5 0;
              ignore (Dynvote_des.Event_queue.pop queue)));
-      Test.make ~name:"event_queue_add_pop_boxed"
-        (Staged.stage (fun () ->
-             Boxed_queue.add boxed_queue ~time:512.5 0;
-             ignore (Boxed_queue.pop boxed_queue)));
       Test.make ~name:"rng_exponential"
         (Staged.stage (fun () -> ignore (Dynvote_prng.Rng.exponential rng ~mean:36.5)));
       Test.make ~name:"refresh_operation"
@@ -1481,89 +1454,90 @@ let obs_bench () =
    service — one record per configuration, plus the instrumentation
    overhead, so regressions show up as a diff.                         *)
 
+(* One loadgen result's per-operation statistics, shared by the serve
+   and crash artifacts. *)
+let op_json (o : Loadgen.op_stats) =
+  Json.(
+    Obj
+      [ ("issued", Int o.Loadgen.issued);
+        ("granted", Int o.Loadgen.granted);
+        ("denied", Int o.Loadgen.denied);
+        ("aborted", Int o.Loadgen.aborted);
+        ("degraded", Int o.Loadgen.degraded);
+        ("retried", Int o.Loadgen.retried);
+        ("dup_acks", Int o.Loadgen.dup_acks);
+        ("p50", Float o.Loadgen.p50);
+        ("p95", Float o.Loadgen.p95);
+        ("p99", Float o.Loadgen.p99) ])
+
 let write_bench_serve ~path
     (serve_results, (durable_speedup, buffered_speedup, speedup_gate)) sweep
     ((live_r, live_safe), (noop_r, noop_safe), overhead_pct, ci_overlap, obs_duration) =
-  let b = Buffer.create 4096 in
-  let fl v =
-    if Float.is_finite v then Printf.sprintf "%.6g" v else "null"
-  in
-  let op (o : Loadgen.op_stats) =
-    Printf.sprintf
-      "{\"issued\":%d,\"granted\":%d,\"denied\":%d,\"aborted\":%d,\"degraded\":%d,\"retried\":%d,\"dup_acks\":%d,\"p50\":%s,\"p95\":%s,\"p99\":%s}"
-      o.Loadgen.issued o.Loadgen.granted o.Loadgen.denied o.Loadgen.aborted
-      o.Loadgen.degraded o.Loadgen.retried o.Loadgen.dup_acks
-      (fl o.Loadgen.p50) (fl o.Loadgen.p95) (fl o.Loadgen.p99)
-  in
+  let open Json in
   let result_fields (r : Loadgen.result) safe =
-    Printf.sprintf
-      "\"goodput\":%s,\"half_width\":%s,\"batches\":%d,\"wall\":%s,\"late\":%d,\"safe\":%b,\"reads\":%s,\"writes\":%s"
-      (fl r.Loadgen.goodput.Batch_means.mean)
-      (fl r.Loadgen.goodput.Batch_means.half_width)
-      r.Loadgen.goodput.Batch_means.batches
-      (fl r.Loadgen.wall) r.Loadgen.late safe (op r.Loadgen.reads)
-      (op r.Loadgen.writes)
+    [ ("goodput", Float r.Loadgen.goodput.Batch_means.mean);
+      ("half_width", Float r.Loadgen.goodput.Batch_means.half_width);
+      ("batches", Int r.Loadgen.goodput.Batch_means.batches);
+      ("wall", Float r.Loadgen.wall);
+      ("late", Int r.Loadgen.late);
+      ("safe", Bool safe);
+      ("reads", op_json r.Loadgen.reads);
+      ("writes", op_json r.Loadgen.writes) ]
   in
   let shape_fields s =
-    Printf.sprintf
-      "\"clients\":%d,\"mode\":\"%s\",\"pipeline\":%d,\"max_reuse\":%d,\"coordinator\":%s"
-      s.sh_clients
-      (match s.sh_mode with `Threads -> "threads" | `Mux -> "mux")
-      s.sh_pipeline s.sh_max_reuse
-      (match s.sh_coordinator with None -> "null" | Some c -> string_of_int c)
+    [ ("clients", Int s.sh_clients);
+      ("mode", String (match s.sh_mode with `Threads -> "threads" | `Mux -> "mux"));
+      ("pipeline", Int s.sh_pipeline);
+      ("max_reuse", Int s.sh_max_reuse);
+      ("coordinator", match s.sh_coordinator with None -> Null | Some c -> Int c) ]
   in
   let hist h =
-    Printf.sprintf "{\"n\":%d,\"mean\":%s,\"max\":%s}" h.hs_n (fl h.hs_mean)
-      (fl h.hs_max)
+    Obj [ ("n", Int h.hs_n); ("mean", Float h.hs_mean); ("max", Float h.hs_max) ]
   in
   let extras_fields x =
-    Printf.sprintf
-      "\"dup_applies\":%d,\"lock_rounds\":%d,\"gather_reused\":%d,\"batch_frames\":%s,\"rounds_inflight\":%s,\"commit_batch\":%s"
-      x.x_dup_applies x.x_lock_rounds x.x_gather_reused
-      (hist x.x_batch_frames) (hist x.x_inflight) (hist x.x_commit_batch)
+    [ ("dup_applies", Int x.x_dup_applies);
+      ("lock_rounds", Int x.x_lock_rounds);
+      ("gather_reused", Int x.x_gather_reused);
+      ("batch_frames", hist x.x_batch_frames);
+      ("rounds_inflight", hist x.x_inflight);
+      ("commit_batch", hist x.x_commit_batch) ]
   in
   let loop_backend =
     match serve_results with
     | (_, _, _, _, x) :: _ -> x.x_backend
     | [] -> "unknown"
   in
-  Buffer.add_string b
-    (Printf.sprintf "{\"schema\":\"dynvote-bench-serve/4\",\"loop_backend\":\"%s\",\"runs\":{"
-       loop_backend);
-  List.iteri
-    (fun i (name, shape, r, safe, x) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "\"%s\":{%s,%s,%s}" name (shape_fields shape)
-           (result_fields r safe) (extras_fields x)))
-    serve_results;
-  List.iter
-    (fun (name, r, safe) ->
-      Buffer.add_string b
-        (Printf.sprintf ",\"%s\":{%s,%s}" name (shape_fields baseline_shape)
-           (result_fields r safe)))
-    [ ("obs-live", live_r, live_safe); ("obs-noop", noop_r, noop_safe) ];
-  Buffer.add_string b
-    (Printf.sprintf
-       "},\"speedup\":{\"durable\":%s,\"buffered\":%s,\"gate\":\"%s\",\"floor\":10.0},\"sweep\":["
-       (fl durable_speedup) (fl buffered_speedup)
-       (if speedup_gate then "pass" else "fail"));
-  List.iteri
-    (fun i (clients, (r : Loadgen.result), safe) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "{\"clients\":%d,%s}" clients (result_fields r safe)))
-    sweep;
-  Buffer.add_string b
-    (Printf.sprintf
-       "],\"obs_overhead_pct\":%s,\"obs_ci_overlap\":%b,\"obs_duration_s\":%s,\"obs_gate\":\"%s\"}"
-       (fl overhead_pct) ci_overlap (fl obs_duration)
-       (if ci_overlap || overhead_pct <= 5.0 then "pass" else "fail"));
-  let oc = open_out path in
-  output_string oc (Buffer.contents b);
-  output_char oc '\n';
-  close_out oc;
-  Fmt.pr "wrote %s@." path
+  write_json path
+    (Obj
+       [ ("schema", String "dynvote-bench-serve/4");
+         ("loop_backend", String loop_backend);
+         ( "runs",
+           Obj
+             (List.map
+                (fun (name, shape, r, safe, x) ->
+                  (name, Obj (shape_fields shape @ result_fields r safe @ extras_fields x)))
+                serve_results
+             @ List.map
+                 (fun (name, r, safe) ->
+                   (name, Obj (shape_fields baseline_shape @ result_fields r safe)))
+                 [ ("obs-live", live_r, live_safe); ("obs-noop", noop_r, noop_safe) ]) );
+         ( "speedup",
+           Obj
+             [ ("durable", Float durable_speedup);
+               ("buffered", Float buffered_speedup);
+               ("gate", String (if speedup_gate then "pass" else "fail"));
+               ("floor", Float 10.0) ] );
+         ( "sweep",
+           List
+             (List.map
+                (fun (clients, r, safe) ->
+                  Obj (("clients", Int clients) :: result_fields r safe))
+                sweep) );
+         ("obs_overhead_pct", Float overhead_pct);
+         ("obs_ci_overlap", Bool ci_overlap);
+         ("obs_duration_s", Float obs_duration);
+         ( "obs_gate",
+           String (if ci_overlap || overhead_pct <= 5.0 then "pass" else "fail") ) ])
 
 (* ------------------------------------------------------------------ *)
 (* CRASH: what surviving a disk costs.  A slice of the crash-point
@@ -1596,11 +1570,11 @@ let crash_serve_run ?(duration = 1.5) ~fenced () =
     Live.create ~config ~obs:(Hub.create ()) ~vfs_of
       ~universe:(Site_set.universe 4) ~dir ()
   in
-  (* Site 0's very next data write fails: the first commit that touches
-     it fences it for the whole run. *)
+  (* Site 0's very next shard-log write fails: the first commit that
+     touches it fences it for the whole run. *)
   if fenced then
     Faultfs.arm_next ff
-      { Storage.fault = Storage.Eio; file = Storage.Data;
+      { Storage.fault = Storage.Eio; file = Storage.Shard;
         op = Storage.Write; nth = 1 };
   let result =
     Loadgen.run cluster
@@ -1620,22 +1594,15 @@ let crash_serve_run ?(duration = 1.5) ~fenced () =
 
 let crash_bench () =
   section "CRASH"
-    "Crash-point recovery matrix (one point per file class x {eio, \
+    "Crash-point recovery matrix (every persist point of a commit x {eio, \
      fsync-lie, crash}),\nthen degraded-mode goodput: the same closed-loop \
      load with site 0 fenced by a\ndisk fault, clients retrying across \
      sites under the same request number.";
   let dir = Filename.temp_file "dynvote-bench-crashmat" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
-  let points =
-    List.filter
-      (fun p ->
-        List.mem (Crash_matrix.point_name p)
-          [ "ensemble.rename"; "data.fsync"; "oplog.write" ])
-      Crash_matrix.points
-  in
   let faults = [ Storage.Eio; Storage.Fsync_lie; Storage.Crash ] in
-  let cells = Crash_matrix.run ~jobs ~seed:1 ~faults ~points ~dir () in
+  let cells = Crash_matrix.run ~jobs ~seed:1 ~faults ~dir () in
   Fmt.pr "@[<v>%a@]@.@." Crash_matrix.pp_table cells;
   let recoveries = List.map (fun c -> c.Crash_matrix.c_recovery) cells in
   let mean l = List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l) in
@@ -1685,48 +1652,37 @@ let crash_bench () =
 
 let write_bench_crash ~path
     (cells, (healthy_r, healthy_safe), (degraded_r, degraded_safe, fenced_sites)) =
-  let b = Buffer.create 1024 in
-  let fl v = if Float.is_finite v then Printf.sprintf "%.6g" v else "null" in
-  Buffer.add_string b "{\"schema\":\"dynvote-bench-crash/1\",\"cells\":[";
-  List.iteri
-    (fun i (c : Crash_matrix.cell) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"point\":\"%s\",\"fault\":\"%s\",\"outcome\":\"%c\",\"recovery_s\":%s,\"injected\":%d}"
-           (Crash_matrix.point_name c.Crash_matrix.c_point)
-           (Storage.fault_name c.Crash_matrix.c_fault)
-           (Crash_matrix.outcome_letter c.Crash_matrix.c_outcome)
-           (fl c.Crash_matrix.c_recovery) c.Crash_matrix.c_injected))
-    cells;
-  let emit_run name (r : Loadgen.result) safe extra =
-    let ops (o : Loadgen.op_stats) =
-      Printf.sprintf
-        "{\"issued\":%d,\"granted\":%d,\"denied\":%d,\"aborted\":%d,\"degraded\":%d,\"retried\":%d,\"dup_acks\":%d,\"p50\":%s,\"p95\":%s,\"p99\":%s}"
-        o.Loadgen.issued o.Loadgen.granted o.Loadgen.denied o.Loadgen.aborted
-        o.Loadgen.degraded o.Loadgen.retried o.Loadgen.dup_acks
-        (fl o.Loadgen.p50) (fl o.Loadgen.p95) (fl o.Loadgen.p99)
-    in
-    Buffer.add_string b
-      (Printf.sprintf
-         "\"%s\":{\"goodput\":%s,\"half_width\":%s,\"safe\":%b%s,\"reads\":%s,\"writes\":%s}"
-         name
-         (fl r.Loadgen.goodput.Dynvote_stats.Batch_means.mean)
-         (fl r.Loadgen.goodput.Dynvote_stats.Batch_means.half_width)
-         safe extra
-         (ops r.Loadgen.reads) (ops r.Loadgen.writes))
+  let open Json in
+  let run (r : Loadgen.result) safe extra =
+    Obj
+      ([ ("goodput", Float r.Loadgen.goodput.Dynvote_stats.Batch_means.mean);
+         ("half_width", Float r.Loadgen.goodput.Dynvote_stats.Batch_means.half_width);
+         ("safe", Bool safe) ]
+      @ extra
+      @ [ ("reads", op_json r.Loadgen.reads); ("writes", op_json r.Loadgen.writes) ])
   in
-  Buffer.add_string b "],\"runs\":{";
-  emit_run "healthy" healthy_r healthy_safe "";
-  Buffer.add_char b ',';
-  emit_run "degraded" degraded_r degraded_safe
-    (Printf.sprintf ",\"fenced_sites\":%d" fenced_sites);
-  Buffer.add_string b "}}";
-  let oc = open_out path in
-  output_string oc (Buffer.contents b);
-  output_char oc '\n';
-  close_out oc;
-  Fmt.pr "wrote %s@." path
+  write_json path
+    (Obj
+       [ ("schema", String "dynvote-bench-crash/1");
+         ( "cells",
+           List
+             (List.map
+                (fun (c : Crash_matrix.cell) ->
+                  Obj
+                    [ ("point", String (Crash_matrix.point_name c.Crash_matrix.c_point));
+                      ("fault", String (Storage.fault_name c.Crash_matrix.c_fault));
+                      ( "outcome",
+                        String
+                          (String.make 1
+                             (Crash_matrix.outcome_letter c.Crash_matrix.c_outcome)) );
+                      ("recovery_s", Float c.Crash_matrix.c_recovery);
+                      ("injected", Int c.Crash_matrix.c_injected) ])
+                cells) );
+         ( "runs",
+           Obj
+             [ ("healthy", run healthy_r healthy_safe []);
+               ( "degraded",
+                 run degraded_r degraded_safe [ ("fenced_sites", Int fenced_sites) ] ) ] ) ])
 
 (* ------------------------------------------------------------------ *)
 (* SHARD: the sharded object space at scale.  Per-operation cost of the
@@ -1906,39 +1862,44 @@ let shard_bench () =
 
 let write_bench_shard ~path
     (tiers, (ratio, gate), ((live_r : Loadgen.result), live_safe, live_keys, batch)) =
-  let b = Buffer.create 1024 in
-  let fl v = if Float.is_finite v then Printf.sprintf "%.6g" v else "null" in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"schema\":\"dynvote-bench-shard/1\",\"resident_cap\":%d,\"ops_per_tier\":%d,\"tiers\":["
-       shard_resident_cap shard_tier_ops);
-  List.iteri
-    (fun i t ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"keys\":%d,\"populate_s\":%s,\"ns_per_op\":%s,\"materialized\":%d,\"evicted\":%d}"
-           t.t_keys (fl t.t_populate_s) (fl t.t_ns_per_op) t.t_materialized
-           t.t_evicted))
-    tiers;
-  Buffer.add_string b
-    (Printf.sprintf
-       "],\"gate\":{\"ratio_1m_over_1k\":%s,\"ceiling\":2.0,\"verdict\":\"%s\"},"
-       (fl ratio)
-       (if gate then "pass" else "fail"));
-  Buffer.add_string b
-    (Printf.sprintf
-       "\"live\":{\"clients\":32,\"keys\":512,\"zipf\":1.1,\"goodput\":%s,\"half_width\":%s,\"safe\":%b,\"keys_audited\":%d,\"hotset_distinct\":%d,\"hotset_top_share\":%s,\"group_batch\":{\"n\":%d,\"mean\":%s,\"max\":%s}}}"
-       (fl live_r.Loadgen.goodput.Batch_means.mean)
-       (fl live_r.Loadgen.goodput.Batch_means.half_width)
-       live_safe live_keys live_r.Loadgen.hotset.Loadgen.distinct
-       (fl live_r.Loadgen.hotset.Loadgen.top_share)
-       batch.hs_n (fl batch.hs_mean) (fl batch.hs_max));
-  let oc = open_out path in
-  output_string oc (Buffer.contents b);
-  output_char oc '\n';
-  close_out oc;
-  Fmt.pr "wrote %s@." path
+  let open Json in
+  write_json path
+    (Obj
+       [ ("schema", String "dynvote-bench-shard/1");
+         ("resident_cap", Int shard_resident_cap);
+         ("ops_per_tier", Int shard_tier_ops);
+         ( "tiers",
+           List
+             (List.map
+                (fun t ->
+                  Obj
+                    [ ("keys", Int t.t_keys);
+                      ("populate_s", Float t.t_populate_s);
+                      ("ns_per_op", Float t.t_ns_per_op);
+                      ("materialized", Int t.t_materialized);
+                      ("evicted", Int t.t_evicted) ])
+                tiers) );
+         ( "gate",
+           Obj
+             [ ("ratio_1m_over_1k", Float ratio);
+               ("ceiling", Float 2.0);
+               ("verdict", String (if gate then "pass" else "fail")) ] );
+         ( "live",
+           Obj
+             [ ("clients", Int 32);
+               ("keys", Int 512);
+               ("zipf", Float 1.1);
+               ("goodput", Float live_r.Loadgen.goodput.Batch_means.mean);
+               ("half_width", Float live_r.Loadgen.goodput.Batch_means.half_width);
+               ("safe", Bool live_safe);
+               ("keys_audited", Int live_keys);
+               ("hotset_distinct", Int live_r.Loadgen.hotset.Loadgen.distinct);
+               ("hotset_top_share", Float live_r.Loadgen.hotset.Loadgen.top_share);
+               ( "group_batch",
+                 Obj
+                   [ ("n", Int batch.hs_n);
+                     ("mean", Float batch.hs_mean);
+                     ("max", Float batch.hs_max) ] ) ] ) ])
 
 (* DYNVOTE_BENCH_SECTIONS: a comma-separated allow-list of section
    names (paper, chaos, mc, par, serve, crash, shard, micro); unset or

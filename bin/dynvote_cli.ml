@@ -659,8 +659,8 @@ let live_shards =
     "Turn on the sharded object space: every key is an independently-voted \
      (o, v, P) object, persisted across $(docv) per-site append logs and \
      coordinated by group-quorum rounds that cover every key of a scheduler \
-     burst in one wire exchange.  0 (the default) is the classic \
-     single-object engine."
+     burst in one wire exchange.  0 (the default) votes on the paper's \
+     single replicated file: every key maps to one object."
   in
   Arg.(value & opt int 0 & info [ "shards" ] ~docv:"N" ~doc)
 
@@ -754,11 +754,11 @@ let pp_reply ppf (r : Live.reply) =
   | Dynvote_live.Wire.Aborted -> Fmt.pf ppf "aborted (%s)" r.Live.info
   | Dynvote_live.Wire.Degraded -> Fmt.pf ppf "degraded (%s)" r.Live.info
 
-(* "SITE:FAULT[@nth][:file]", e.g. "0:fsync-lie:data" — the part after
+(* "SITE:FAULT[@nth][:file]", e.g. "0:fsync-lie:shard" — the part after
    the first colon is a Fault_plan.Storage trigger spec. *)
 let parse_fault_spec text =
   match String.index_opt text ':' with
-  | None -> Error "expected SITE:FAULT[@nth][:file], e.g. 0:fsync-lie:data"
+  | None -> Error "expected SITE:FAULT[@nth][:file], e.g. 0:fsync-lie:shard"
   | Some i -> (
       match int_of_string_opt (String.sub text 0 i) with
       | None -> Error (Printf.sprintf "bad site %S" (String.sub text 0 i))
@@ -892,10 +892,10 @@ let serve_cmd =
   let fault_arg =
     let doc =
       "Arm a storage-fault trigger at boot: SITE:FAULT[@nth][:file], e.g. \
-       0:fsync-lie:data or 2:eio\\@2:oplog.  Repeatable.  Faults are eio, \
+       0:fsync-lie:shard or 2:eio\\@2:oplog.  Repeatable.  Faults are eio, \
        enospc, short-write, fsync-fail, fsync-lie, rename-loss, read-eio, \
-       crash; files are ensemble, data, oplog.  The console's fault command \
-       arms more at runtime."
+       crash; files are shard (the object logs) and oplog.  The console's \
+       fault command arms more at runtime."
     in
     Arg.(value & opt_all string [] & info [ "fault" ] ~docv:"SPEC" ~doc)
   in
@@ -1247,14 +1247,13 @@ let crashmat_cmd =
       | None ->
           if soak then all_points
           else
-            (* One point per file: the slice still exercises the replace
-               discipline of both blobs, the append path, and the keyed
-               store's compaction rewrite. *)
+            (* The commit path's three points plus the compaction
+               rewrite's rename. *)
             List.filter
               (fun p ->
                 List.mem (Crash_matrix.point_name p)
-                  [ "ensemble.rename"; "data.fsync"; "oplog.write";
-                    "shard.rename" ])
+                  [ "shard.write"; "shard.fsync"; "oplog.write";
+                    "compaction.rename" ])
               all_points
     in
     let faults =

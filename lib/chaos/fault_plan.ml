@@ -129,7 +129,7 @@ module Storage = struct
     | Read_eio       (* read fails (surfaces as [Sys_error]) *)
     | Crash          (* the process dies at this exact operation *)
 
-  type file_class = Ensemble | Data | Oplog | Shard | Any_file
+  type file_class = Oplog | Shard | Any_file
 
   type op = Create | Write | Fsync | Rename | Fsync_dir | Read
 
@@ -161,15 +161,11 @@ module Storage = struct
     | Read_eio -> Read
 
   let file_name = function
-    | Ensemble -> "ensemble"
-    | Data -> "data"
     | Oplog -> "oplog"
     | Shard -> "shard"
     | Any_file -> "any"
 
   let file_of_name = function
-    | "ensemble" -> Some Ensemble
-    | "data" -> Some Data
     | "oplog" -> Some Oplog
     | "shard" -> Some Shard
     | "any" -> Some Any_file
@@ -186,7 +182,7 @@ module Storage = struct
   let trigger ?(file = Any_file) ?(nth = 1) fault =
     { fault; file; op = default_op fault; nth }
 
-  (* "<fault>[@nth][:file]", e.g. "fsync-fail@2:data".  The operation is
+  (* "<fault>[@nth][:file]", e.g. "fsync-fail@2:shard".  The operation is
      the fault's default; programmatic triggers can place any fault at
      any operation. *)
   let trigger_of_string text =

@@ -73,10 +73,11 @@ module Storage : sig
     | Read_eio  (** read fails (surfaces as [Sys_error]) *)
     | Crash  (** the process dies at this exact operation *)
 
-  type file_class = Ensemble | Data | Oplog | Shard | Any_file
-  (** [Shard]: the sharded object space's per-key logs
-      ([shard-<i>.dvl], their temp files, and the [rids.dvr]
-      sidecar). *)
+  type file_class = Oplog | Shard | Any_file
+  (** [Oplog]: the per-site operation log.  [Shard]: the per-site
+      object logs ([shard-<i>.dvl], their compaction temp files, and
+      the [rids.dvr] sidecar) — every voted object's state, the
+      replicated file included. *)
 
   type op = Create | Write | Fsync | Rename | Fsync_dir | Read
 
@@ -99,7 +100,7 @@ module Storage : sig
   (** A trigger at the fault's {!default_op}. *)
 
   val trigger_of_string : string -> (trigger, string) result
-  (** Parse ["<fault>[@nth][:file]"] — e.g. ["fsync-fail@2:data"],
+  (** Parse ["<fault>[@nth][:file]"] — e.g. ["fsync-fail@2:shard"],
       ["eio:oplog"], ["crash"].  The operation is the fault's default. *)
 
   val pp_trigger : Format.formatter -> trigger -> unit

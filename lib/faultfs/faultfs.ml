@@ -89,8 +89,6 @@ let classify path =
     | None -> base
   in
   match base with
-  | "ensemble.dvt" -> Storage.Ensemble
-  | "data.dvl" -> Storage.Data
   | "oplog.dvl" -> Storage.Oplog
   | "rids.dvr" -> Storage.Shard
   | _ ->

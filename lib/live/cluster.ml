@@ -62,30 +62,15 @@ let create ?(flavor = Decision.ldv_flavor) ?(segment_of = fun s -> s)
     Site_set.fold
       (fun site (seq, client) ->
         let records, _ = Persist.read_log ~path:(Persist.oplog_path ~dir site) in
-        let seq, client =
-          List.fold_left
-            (fun (seq, client) r ->
-              let rid =
-                match r with
-                | Persist.Log_commit { rid; _ }
-                | Persist.Log_outcome { rid; _ }
-                | Persist.Log_kcommit { rid; _ }
-                | Persist.Log_koutcome { rid; _ } ->
-                    rid
-                | Persist.Log_intent _ | Persist.Log_kintent _ -> 0
-              in
-              (max seq (Persist.seq_of r), max client (rid lsr 32)))
-            (seq, client) records
-        in
-        let client =
-          match
-            Persist.load_data_result ~path:(Persist.data_path ~dir site) ()
-          with
-          | Ok (_, _, rids) ->
-              List.fold_left (fun acc (c, _) -> max acc c) client rids
-          | Error _ -> client
-        in
-        (seq, client))
+        List.fold_left
+          (fun (seq, client) r ->
+            let rid =
+              match r with
+              | Persist.Log_commit { rid; _ } | Persist.Log_outcome { rid; _ } -> rid
+              | Persist.Log_intent _ -> 0
+            in
+            (max seq (Persist.seq_of r), max client (rid lsr 32)))
+          (seq, client) records)
       universe
       (0, Wire.first_client_id - 1)
   in
@@ -117,17 +102,14 @@ let create ?(flavor = Decision.ldv_flavor) ?(segment_of = fun s -> s)
       next_seq;
     }
   in
+  (* A site that has booted before owns a directory: it restarts from
+     its logs (and is not fresh until its next commit).  A site with none
+     boots into the paper's initial state — every object current in one
+     partition, materialized lazily. *)
   Site_set.iter
     (fun site ->
-      ignore (Persist.ensure_site_dir ~dir site : string);
-      let epath = Persist.ensemble_path ~dir site in
-      let existed = Sys.file_exists epath in
-      if not existed then begin
-        (* The paper's initial state: every copy current, one partition. *)
-        Codec.save_replica ~path:epath (Replica.initial universe);
-        Persist.save_data ~path:(Persist.data_path ~dir site) ~version:1 []
-      end;
-      spawn t site ~was_restarted:existed)
+      let booted_before = Sys.file_exists (Persist.site_dir ~dir site) in
+      spawn t site ~was_restarted:booted_before)
     universe;
   t
 
@@ -278,37 +260,27 @@ type audit = {
   kviolations : (string * Oracle.violation) list;
 }
 
-(* Exactly-once accounting over the merged logs, both engines at once:
-   the request-id space is global (client lsl 32 lor req), so one table
-   serves.  A request id is double-applied when the history shows it
-   committing under two distinct logical commits — distinct op numbers
-   for the single-object engine, distinct (key, op_no) pairs for the
-   sharded one (the same logical commit fanning out to many sites shares
-   its identity, so that is not a duplicate) — or when two granted write
-   outcomes both claim to have installed content for it. *)
+(* Exactly-once accounting over the merged logs: the request-id space is
+   global (client lsl 32 lor req), so one table serves.  A request id is
+   double-applied when the history shows it committing under two
+   distinct logical commits — distinct (object, op_no) pairs; the same
+   logical commit fanning out to many sites shares its identity, so that
+   is not a duplicate — or when two granted write outcomes both claim to
+   have installed content for it. *)
 let count_dup_applies tagged =
   let commit_ops = Hashtbl.create 16 in
   let applied_outcomes = Hashtbl.create 16 in
-  let note_commit rid ident =
-    let ops = Option.value ~default:[] (Hashtbl.find_opt commit_ops rid) in
-    if not (List.mem ident ops) then Hashtbl.replace commit_ops rid (ident :: ops)
-  in
-  let note_outcome rid =
-    Hashtbl.replace applied_outcomes rid
-      (1 + Option.value ~default:0 (Hashtbl.find_opt applied_outcomes rid))
-  in
   List.iter
     (fun (_site, record) ->
       match record with
-      | Persist.Log_commit { op_no; rid; _ } when rid <> 0 ->
-          note_commit rid (None, op_no)
-      | Persist.Log_kcommit { key; op_no; rid; _ } when rid <> 0 ->
-          note_commit rid (Some key, op_no)
+      | Persist.Log_commit { key; op_no; rid; _ } when rid <> 0 ->
+          let ops = Option.value ~default:[] (Hashtbl.find_opt commit_ops rid) in
+          if not (List.mem (key, op_no) ops) then
+            Hashtbl.replace commit_ops rid ((key, op_no) :: ops)
       | Persist.Log_outcome { kind = `Write; granted = true; content = Some _; rid; _ }
-      | Persist.Log_koutcome
-          { kind = `Write; granted = true; content = Some _; rid; _ }
         when rid <> 0 ->
-          note_outcome rid
+          Hashtbl.replace applied_outcomes rid
+            (1 + Option.value ~default:0 (Hashtbl.find_opt applied_outcomes rid))
       | _ -> ())
     tagged;
   let dups = Hashtbl.create 8 in
@@ -320,6 +292,11 @@ let count_dup_applies tagged =
     applied_outcomes;
   Hashtbl.length dups
 
+(* Every object is its own register, so every object gets its own
+   oracle: its commits, intents and outcomes in global stamp order, its
+   final per-site (data_version, content) states from the shard logs.
+   The replicated file ({!Node.file_object}) reports as [oracle]; every
+   other object is a key of the sharded space. *)
 let check_dir ~universe ~dir =
   let torn = ref Site_set.empty in
   let corrupt = ref 0 in
@@ -336,115 +313,70 @@ let check_dir ~universe ~dir =
       (fun (_, a) (_, b) -> compare (Persist.seq_of a) (Persist.seq_of b))
       !tagged
   in
-  let events =
-    List.filter_map
-      (fun (site, record) ->
-        match record with
-        | Persist.Log_commit { op_no; version; partition; _ } ->
-            Some
-              (Oracle.Replay_commit
-                 { site; replica = Replica.make ~op_no ~version ~partition })
-        | Persist.Log_intent { content; _ } -> Some (Oracle.Replay_intent { content })
-        | Persist.Log_outcome { kind = `Write; granted; content = Some content; _ } ->
-            Some (Oracle.Replay_write { granted; content })
-        | Persist.Log_outcome { kind = `Write; content = None; _ }
-        | Persist.Log_outcome { kind = `Recover; _ } ->
-            None
-        | Persist.Log_outcome { kind = `Read; granted; content; _ } ->
-            Some (Oracle.Replay_read { at = site; granted; content })
-        | Persist.Log_kcommit _ | Persist.Log_kintent _ | Persist.Log_koutcome _
-          ->
-            (* keyed records replay through their per-key oracles below *)
-            None)
-      ordered
-  in
-  (* Final on-disk stores feed the content-fork scan; an unreadable blob
-     belongs to a mid-replace kill and is simply absent. *)
-  let final =
-    Site_set.fold
-      (fun site acc ->
-        match Persist.load_data_result ~path:(Persist.data_path ~dir site) () with
-        | Ok (version, entries, _) ->
-            (site, version, Persist.encode_entries entries) :: acc
-        | Error _ -> acc)
-      universe []
-  in
-  let oracle =
-    Oracle.replay ~initial_content:(Persist.encode_entries []) ~final events
-  in
-  (* The sharded object space: every key is its own register, so every
-     key gets its own oracle — its commits, intents and outcomes in
-     global stamp order, its final per-site states from the shard logs.
-     A run that never touched the sharded engine audits zero keys. *)
-  let kevents = Hashtbl.create 64 in
-  let korder = ref [] in
-  let kadd key ev =
-    match Hashtbl.find_opt kevents key with
-    | Some evs -> Hashtbl.replace kevents key (ev :: evs)
+  let events = Hashtbl.create 64 in
+  let finals = Hashtbl.create 64 in
+  let objects = ref [] in
+  let add table key x =
+    match Hashtbl.find_opt table key with
+    | Some xs -> Hashtbl.replace table key (x :: xs)
     | None ->
-        korder := key :: !korder;
-        Hashtbl.replace kevents key [ ev ]
+        if not (Hashtbl.mem events key || Hashtbl.mem finals key) then
+          objects := key :: !objects;
+        Hashtbl.replace table key [ x ]
   in
   List.iter
     (fun (site, record) ->
       match record with
-      | Persist.Log_kcommit { key; op_no; version; partition; _ } ->
-          kadd key
+      | Persist.Log_commit { key; op_no; version; partition; _ } ->
+          add events key
             (Oracle.Replay_commit
                { site; replica = Replica.make ~op_no ~version ~partition })
-      | Persist.Log_kintent { key; content; _ } ->
-          kadd key (Oracle.Replay_intent { content })
-      | Persist.Log_koutcome
-          { key; kind = `Write; granted; content = Some content; _ } ->
-          kadd key (Oracle.Replay_write { granted; content })
-      | Persist.Log_koutcome { key; kind = `Read; granted; content; _ } ->
-          kadd key (Oracle.Replay_read { at = site; granted; content })
-      | _ -> ())
+      | Persist.Log_intent { key; content; _ } ->
+          add events key (Oracle.Replay_intent { content })
+      | Persist.Log_outcome { key; kind = `Write; granted; content = Some content; _ } ->
+          add events key (Oracle.Replay_write { granted; content })
+      | Persist.Log_outcome { key; kind = `Read; granted; content; _ } ->
+          add events key (Oracle.Replay_read { at = site; granted; content })
+      | Persist.Log_outcome { kind = `Write; content = None; _ }
+      | Persist.Log_outcome { kind = `Recover; _ } ->
+          ())
     ordered;
-  let kfinal = Hashtbl.create 64 in
   Site_set.iter
     (fun site ->
       List.iter
         (fun (key, st) ->
-          let entry =
+          add finals key
             ( site,
               st.Shard_store.data_version,
-              Node.encode_kvalue st.Shard_store.value )
-          in
-          match Hashtbl.find_opt kfinal key with
-          | Some fs -> Hashtbl.replace kfinal key (entry :: fs)
-          | None ->
-              if not (Hashtbl.mem kevents key) then korder := key :: !korder;
-              Hashtbl.replace kfinal key [ entry ])
+              Node.oracle_content st.Shard_store.value ))
         (Shard_store.read_states ~dir ~site))
     universe;
-  let kviolations =
-    List.concat_map
-      (fun key ->
-        let events =
-          List.rev (Option.value ~default:[] (Hashtbl.find_opt kevents key))
-        in
-        let final = Option.value ~default:[] (Hashtbl.find_opt kfinal key) in
-        let o = Oracle.replay ~initial_content:"" ~final events in
-        List.map (fun v -> (key, v)) (Oracle.violations o))
-      (List.rev !korder)
+  let replay key =
+    let events = List.rev (Option.value ~default:[] (Hashtbl.find_opt events key)) in
+    let final = Option.value ~default:[] (Hashtbl.find_opt finals key) in
+    Oracle.replay ~initial_content:"" ~final events
   in
+  let keys = List.filter (fun key -> key <> Node.file_object) (List.rev !objects) in
   {
-    oracle;
+    oracle = replay Node.file_object;
     torn = !torn;
     corrupt = !corrupt;
     dup_applies = count_dup_applies ordered;
     records = List.length ordered;
-    keys = List.length !korder;
-    kviolations;
+    keys = List.length keys;
+    kviolations =
+      List.concat_map
+        (fun key -> List.map (fun v -> (key, v)) (Oracle.violations (replay key)))
+        keys;
   }
 
 (* COMMIT waves are fire-and-forget, so a client can hold a granted
    reply while the last participants are still applying.  Pinging each
-   up site with a Data_request and waiting for its reply drains the
-   race: per-connection FIFO means every commit the broker routed
-   before our ping is applied — and persisted, synchronously — before
-   the node answers us. *)
+   up site with an empty state request — answered by every site, fenced
+   and amnesiac ones with an abstention — and waiting for its answer
+   drains the race: per-connection FIFO means every commit the broker
+   routed before our ping is applied — and persisted, synchronously —
+   before the node answers us. *)
 let quiesce t =
   match client t with
   | exception _ -> ()
@@ -453,7 +385,11 @@ let quiesce t =
         (fun site ->
           match
             Wire.send c.conn
-              { Wire.src = c.id; dst = site; payload = Wire.Data_request { round = 0 } }
+              {
+                Wire.src = c.id;
+                dst = site;
+                payload = Wire.KState_request { round = 0; keys = [] };
+              }
           with
           | exception Unix.Unix_error _ -> ()
           | () ->
@@ -461,7 +397,8 @@ let quiesce t =
               let deadline = clock () +. 1.0 in
               let rec wait () =
                 match Wire.recv ~clock ~deadline c.conn with
-                | Ok { Wire.payload = Wire.Data_reply _; src; _ } when src = site ->
+                | Ok { Wire.payload = Wire.KState_reply _ | Wire.Abstain _; src; _ }
+                  when src = site ->
                     ()
                 | Ok _ -> wait ()
                 | Error _ -> ()

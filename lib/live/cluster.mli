@@ -4,9 +4,8 @@
     the chaos {!Dynvote_chaos.Oracle}.
 
     All state lives under one directory ([dir/site-<k>/...]); {!create}
-    seeds initial ensembles for sites that have none and reuses whatever
-    a previous incarnation left behind, so a whole cluster can be
-    stopped and resumed. *)
+    reuses whatever a previous incarnation left behind, so a whole
+    cluster can be stopped and resumed. *)
 
 type t
 
@@ -22,11 +21,12 @@ val create :
   unit ->
   t
 (** Start the switchboard and boot one node thread per site.  A site
-    whose ensemble file already exists restarts from it (and is not
-    fresh until its next commit); otherwise it is seeded with the
-    paper's initial state (o = v = 1, P = universe, empty store at
-    data version 1).  [client_timeout] (default 10 s) bounds every
-    client call.
+    whose directory already exists has booted before: it restarts from
+    its logs (and is not fresh until its next commit; with its shard
+    logs gone it is amnesiac).  A site with no directory starts in the
+    paper's initial state (o = v = 1, P = universe, nothing written, at
+    data version 1 — materialized lazily, nothing is written at boot).
+    [client_timeout] (default 10 s) bounds every client call.
 
     [segment_of] defaults to point-to-point links (each site its own
     segment), so any partition is physically possible.  A coarser map
@@ -74,13 +74,13 @@ val heal : t -> unit
 
 val kill : t -> Site_set.site -> unit
 (** Sever the node's socket and join its thread: a process kill.  All
-    volatile state (locks, amnesia-free store cache) dies; the three
-    files survive. *)
+    volatile state (locks, the object cache) dies; the shard logs and
+    the oplog survive. *)
 
 val restart : t -> Site_set.site -> unit
 (** Boot a fresh node thread for a killed site from its on-disk state.
-    The node claims no freshness until it applies a commit; a corrupt
-    record leaves it amnesiac until a RECOVER succeeds. *)
+    The node claims no freshness until it applies a commit; lost shard
+    logs leave it amnesiac until a RECOVER succeeds. *)
 
 val kill_async : t -> Site_set.site -> unit
 (** {!kill} without joining the victim's thread — safe to call from a
@@ -131,11 +131,14 @@ val recover_site : client -> Site_set.site -> reply
 (** {2 Audit}
 
     The merged per-node logs, ordered by the global sequence stamp,
-    replayed through the safety oracle; final on-disk stores feed the
-    content-fork scan. *)
+    replayed through the safety oracle — one oracle per voted object;
+    each object's final on-disk states, read offline from the shard
+    logs, feed its content-fork scan. *)
 
 type audit = {
   oracle : Dynvote_chaos.Oracle.t;
+      (** the replicated file's oracle ({!Node.file_object}); empty for
+          a run of the sharded object space *)
   torn : Site_set.t;  (** sites whose log ended in a torn record *)
   corrupt : int;
       (** checksum-failing records found {e mid-log} (intact records
@@ -143,24 +146,21 @@ type audit = {
           produce *)
   dup_applies : int;
       (** request ids the merged history shows committing more than once
-          — an exactly-once violation; counted across both the
-          single-object and the sharded engine (the request-id space is
-          global) *)
+          — an exactly-once violation (the request-id space is global) *)
   records : int;
   keys : int;
       (** distinct keys of the sharded object space seen in the merged
-          logs or the shard-log finals; [0] for a purely single-object
-          run *)
+          logs or the shard-log finals; [0] for a run of the replicated
+          file *)
   kviolations : (string * Dynvote_chaos.Oracle.violation) list;
       (** per-key oracle violations: every key replays through its own
-          oracle (each key is an independent register), with its final
-          per-site (data_version, content) states read offline from the
-          shard logs *)
+          oracle (each key is an independent register) *)
 }
 
 val check : t -> audit
-(** Read every [oplog.dvl] and the final data blobs from disk.  Run only
-    while the cluster is quiescent (no client operation in flight). *)
+(** Read every [oplog.dvl] and the final shard-log states from disk,
+    after draining in-flight commit waves.  Run only while the cluster
+    is quiescent (no client operation in flight). *)
 
 val check_dir : universe:Site_set.t -> dir:string -> audit
 (** The same audit against a directory with no cluster running — what

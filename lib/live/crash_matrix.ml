@@ -20,30 +20,32 @@ module Hub = Dynvote_obs.Hub
 module Clock = Dynvote_obs.Clock
 module Shard_store = Dynvote_shard.Shard_store
 
-type point = { p_file : Storage.file_class; p_op : Storage.op }
+type point = { p_file : Storage.file_class; p_op : Storage.op; p_compaction : bool }
 
-(* Every stable-storage operation a commit performs: the atomic replace
-   of the ensemble and of the data blob (write, fsync, rename, directory
-   fsync — Codec.write_file_atomic's four steps) and the oplog append.
-   Creates are excluded: a failed open of the temp file is
+(* Every stable-storage operation a commit performs: the shard-log
+   append of the object's new state, the fsync that closes the commit
+   batch, and the oplog append.  Creates are excluded: a failed open is
    indistinguishable from a failed first write, and reads only happen at
    boot (where every fault class already lands via the restart leg). *)
-let replace_ops = [ Storage.Write; Storage.Fsync; Storage.Rename; Storage.Fsync_dir ]
-
 let points =
-  let replace file = List.map (fun op -> { p_file = file; p_op = op }) replace_ops in
-  replace Storage.Ensemble
-  @ replace Storage.Data
-  @ [ { p_file = Storage.Oplog; p_op = Storage.Write } ]
+  List.map
+    (fun (file, op) -> { p_file = file; p_op = op; p_compaction = false })
+    [ (Storage.Shard, Storage.Write); (Storage.Shard, Storage.Fsync);
+      (Storage.Oplog, Storage.Write) ]
 
-(* The keyed store's compaction rewrite is a persist point too — one the
+(* The shard store's compaction rewrite — an atomic replace: write,
+   fsync, rename, directory fsync — is a persist point too, one the
    cluster cells above never reach, because it fires at a record-count
    threshold of the store's own choosing. *)
 let compaction_points =
-  List.map (fun op -> { p_file = Storage.Shard; p_op = op }) replace_ops
+  List.map
+    (fun op -> { p_file = Storage.Shard; p_op = op; p_compaction = true })
+    [ Storage.Write; Storage.Fsync; Storage.Rename; Storage.Fsync_dir ]
 
 let point_name p =
-  Printf.sprintf "%s.%s" (Storage.file_name p.p_file) (Storage.op_name p.p_op)
+  Printf.sprintf "%s.%s"
+    (if p.p_compaction then "compaction" else Storage.file_name p.p_file)
+    (Storage.op_name p.p_op)
 
 type outcome =
   | Recovered  (** the victim serves writes again after restart + RECOVER *)
@@ -258,10 +260,10 @@ let run ?jobs ?(seed = 1) ?(faults = Storage.all_faults)
     ?(points = points) ~dir () =
   let cells =
     List.concat_map (fun p -> List.map (fun f -> (p, f)) faults) points
-    (* Shard cells grade only their meaningful fault classes (see
+    (* Compaction cells grade only their meaningful fault classes (see
        [compaction_faults]); dropped combinations render as '-'. *)
     |> List.filter (fun (p, f) ->
-           p.p_file <> Storage.Shard || List.mem f compaction_faults)
+           (not p.p_compaction) || List.mem f compaction_faults)
   in
   (* Per-cell seeds differ so torn-tail cuts are not correlated across
      cells; they stay a pure function of (seed, point, fault) position. *)
@@ -270,7 +272,7 @@ let run ?jobs ?(seed = 1) ?(faults = Storage.all_faults)
       Pool.map_list pool
         (fun (i, (p, f)) ->
           let seed = seed + (997 * i) in
-          if p.p_file = Storage.Shard then run_compaction_cell ~dir ~seed p f
+          if p.p_compaction then run_compaction_cell ~dir ~seed p f
           else run_cell ~dir ~seed p f)
         numbered)
 
@@ -289,7 +291,7 @@ let pp_table ppf cells =
   let width = 12 in
   let row label columns =
     let b = Buffer.create 80 in
-    Buffer.add_string b (Printf.sprintf "%-20s" label);
+    Buffer.add_string b (Printf.sprintf "%-22s" label);
     List.iter (fun c -> Buffer.add_string b (Printf.sprintf "%-*s" width c)) columns;
     (* No trailing blanks: expected-output tests pin these lines. *)
     let s = Buffer.contents b in

@@ -13,17 +13,17 @@
 
 module Storage = Dynvote_chaos.Fault_plan.Storage
 
-type point = { p_file : Storage.file_class; p_op : Storage.op }
-(** One stable-storage operation of the commit path. *)
+type point = { p_file : Storage.file_class; p_op : Storage.op; p_compaction : bool }
+(** One stable-storage operation of the commit path ([p_compaction]:
+    of the shard store's compaction rewrite). *)
 
 val points : point list
-(** The nine persist points: {write, fsync, rename, fsync-dir} of the
-    ensemble's and the data blob's atomic replace, plus the oplog
-    append. *)
+(** The three persist points of a commit: the shard-log append, the
+    shard fsync that closes the commit batch, and the oplog append. *)
 
 val compaction_points : point list
-(** The keyed store's compaction rewrite — the same four atomic-replace
-    operations, on the shard file class.  Not in {!points}: compaction
+(** The shard store's compaction rewrite — write, fsync, rename and
+    directory fsync of its atomic replace.  Not in {!points}: compaction
     fires at a record-count threshold the cluster cells never reach, so
     these cells run against a bare store ({!run_compaction_cell}). *)
 
@@ -34,7 +34,7 @@ val compaction_faults : Storage.fault list
     (reads happen only at boot). *)
 
 val point_name : point -> string
-(** ["ensemble.fsync"], ["oplog.write"], ... *)
+(** ["shard.fsync"], ["oplog.write"], ["compaction.rename"], ... *)
 
 type outcome =
   | Recovered  (** the victim serves writes again after restart + RECOVER *)

@@ -7,31 +7,38 @@
    A ticket turnstile serializes the gather -> decide -> commit -> outcome
    critical sections, so pipelining changes scheduling, never the order
    of effects.  With the defaults (pipeline = 1, max_reuse = 0) the node
-   is frame-for-frame identical to a fully sequential coordinator.
+   is a fully sequential coordinator.
+
+   What is voted on is an {e object}: an (o, v, P) ensemble, a data
+   version and a value.  A client key maps to one object — itself when
+   [config.shards > 0], the paper's single replicated file otherwise,
+   whose value is the file's entries blob.  [object_of], [get] and [put]
+   are the only code that knows which; every protocol step below runs on
+   objects and is written once.
 
    Two fast paths pay for the machinery:
 
-   - Lock anchoring: the first operation's lock round becomes an
-     {e anchor} that later pipelined operations join without any lock
-     traffic; the anchor rotates (fresh round under a new op id) after
-     [max_reuse] joins or 0.4 x the lock lease, keeping well inside the
-     lease at every peer.
-   - Gather reuse: the anchor caches its gather; joined operations decide
-     against the cached view, which is kept current by our own commit
-     waves and invalidated by any inbound commit, a denial, a fetch
-     failure, or rotation.
+   - Group anchoring: one lock round and one state round cover every
+     object a scheduler burst touches; the round becomes an {e anchor}
+     that later pipelined operations join without any lock traffic.  The
+     anchor rotates (fresh round under a new op id) after [max_reuse]
+     joins or 0.4 x the lock lease, keeping well inside the lease at
+     every peer.
+   - Gather reuse: the anchor caches its gather per object; joined
+     operations decide against the cached view, which is kept current by
+     our own commit waves and invalidated by any inbound commit, a
+     denial, a fetch failure, or rotation.
 
-   Persistence mirrors the msgsim node but through real files: the
-   ensemble goes through {!Dynvote.Codec}'s atomic save on every applied
-   commit, the data blob rides with it, and the append-only operation log
-   records commits, write intents and client-visible outcomes for the
-   {!Dynvote_chaos.Oracle} replay.  Ordering rule: an outcome record
-   takes its global sequence number *before* the turnstile advances and
-   the locks are released, so no later operation that could have observed
-   this one's effects can be stamped earlier.  Inbound commit frames are
-   coalesced — a run of consecutive commits is applied volatile-first and
-   persisted once — which is crash-equivalent to applying the prefix that
-   reached disk.
+   Persistence: every applied commit writes the object's full state
+   through to the per-site {!Shard_store} logs (one fsync per batch),
+   and the append-only operation log records commits, write intents and
+   client-visible outcomes for the per-object {!Dynvote_chaos.Oracle}
+   replay.  Ordering rule: an outcome record takes its global sequence
+   number *before* the turnstile advances and the locks are released,
+   so no later operation that could have observed this one's effects can
+   be stamped earlier.  Inbound commit frames are coalesced — a run of
+   consecutive commits is applied volatile-first and persisted once —
+   which is crash-equivalent to applying the prefix that reached disk.
 
    Storage failures never kill the thread and never produce a lie: a
    persist that faults mid-way rolls the volatile state back and fences
@@ -40,7 +47,6 @@
    must not vote or ack.  Only a restart against repaired storage
    un-fences it. *)
 
-module SMap = Map.Make (String)
 module IMap = Map.Make (Int)
 module Metrics = Dynvote_obs.Metrics
 module Trace = Dynvote_obs.Trace
@@ -60,12 +66,10 @@ type config = {
   pipeline : int;
   max_reuse : int;
   shards : int;
-      (* > 0 switches the node to the sharded object space: every key an
-         independently-voted (o, v, P) object in [shards] per-site
-         append logs, group-quorum rounds over the keyed wire frames.
-         0 — the default — is the single-object engine, frame-identical
-         to the unsharded protocol. *)
-  resident : int;  (* LRU residency cap of the per-key object map *)
+      (* > 0: every client key is its own object, in [shards] per-site
+         append logs.  0 — the default — is the paper's single replicated
+         file: every key maps to one object, kept in one log. *)
+  resident : int;  (* LRU residency cap of the object map *)
 }
 
 let default_config =
@@ -90,10 +94,10 @@ let default_config =
    per-client request number), packed into one integer.  Each site
    remembers, per client, the highest request number it has applied a
    write for; a retried request at or below that mark has already
-   committed and is acknowledged without re-applying.  The table is
-   persisted inside the data blob and travels with every data fetch, so
-   dedup memory is exactly as durable — and exactly as distributed — as
-   the data it guards. *)
+   committed and is acknowledged without re-applying.  The table rides
+   inside every commit record of the shard logs and travels with every
+   data fetch, so dedup memory is exactly as durable — and exactly as
+   distributed — as the data it guards. *)
 
 let make_rid ~client ~req = (client lsl 32) lor (req land 0xFFFFFFFF)
 let rid_client rid = rid lsr 32
@@ -111,13 +115,13 @@ let rid_add rids rid =
 
 let rid_list rids = IMap.bindings rids
 
-let rids_of_list pairs =
+let rids_merge rids pairs =
   List.fold_left
     (fun m (client, req) ->
       IMap.update client
         (function None -> Some req | Some seen -> Some (max seen req))
         m)
-    IMap.empty pairs
+    rids pairs
 
 (* Instrument handles resolved once at boot; every update after that is
    an atomic increment (or nothing, under the noop hub). *)
@@ -141,6 +145,11 @@ type counters = {
   h_op : Metrics.histogram;
   h_inflight : Metrics.histogram;
   h_commit_batch : Metrics.histogram;
+  g_resident : Metrics.gauge;  (* live entries in the object map *)
+  g_keys : Metrics.gauge;  (* distinct objects ever committed here *)
+  c_materialized : Metrics.counter;
+  c_evicted : Metrics.counter;
+  h_group : Metrics.histogram;  (* objects per group-quorum round *)
 }
 
 let make_counters (hub : Hub.t) =
@@ -165,21 +174,6 @@ let make_counters (hub : Hub.t) =
     h_op = Metrics.histogram m "live.node.op.seconds";
     h_inflight = Metrics.histogram m "live.rounds.inflight";
     h_commit_batch = Metrics.histogram m "live.commit.batch";
-  }
-
-(* Shard instruments exist only in sharded mode, so unsharded snapshots
-   stay byte-identical to what they always printed. *)
-type kcounters = {
-  g_resident : Metrics.gauge;  (* live entries in the object map *)
-  g_keys : Metrics.gauge;  (* distinct keys ever committed here *)
-  c_materialized : Metrics.counter;
-  c_evicted : Metrics.counter;
-  h_group : Metrics.histogram;  (* keys per group-quorum round *)
-}
-
-let make_kcounters (hub : Hub.t) =
-  let m = hub.Hub.metrics in
-  {
     g_resident = Metrics.gauge m "live.shard.resident";
     g_keys = Metrics.gauge m "live.shard.keys";
     c_materialized = Metrics.counter m "live.shard.materialized";
@@ -194,13 +188,13 @@ exception Dead
 
 (* --- operation fibers -----------------------------------------------
 
-   A coordinating operation suspends wherever the old code re-entered a
-   blocking receive loop.  [Await_frame] parks the fiber until a frame
-   satisfies [match_reply] (resumed with [Some _]) or [deadline] passes
-   (resumed with [None]); [wake_on_unlock] additionally resumes it — with
-   [None], as if timed out — when a rival's [Unlock] lands, so lock
-   backoff ends the moment the contended lock frees.  [Await_turn] parks
-   the fiber until the turnstile serves its ticket. *)
+   A coordinating operation suspends wherever it waits on the network.
+   [Await_frame] parks the fiber until a frame satisfies [match_reply]
+   (resumed with [Some _]) or [deadline] passes (resumed with [None]);
+   [wake_on_unlock] additionally resumes it — with [None], as if timed
+   out — when a rival's unlock lands, so lock backoff ends the moment the
+   contended lock frees.  [Await_turn] parks the fiber until the
+   turnstile serves its ticket. *)
 
 type _ Effect.t +=
   | Await_frame : {
@@ -228,21 +222,21 @@ type t = {
   n_sites : int;
   ctx : Operation.ctx;
   config : config;
-  dir : string;
-  vfs : Vfs.t;
   next_seq : unit -> int;
   conn : Wire.conn;
   oplog : Persist.log;
-  mutable replica : Replica.t;
-  mutable data_version : int;
-  mutable store : string SMap.t;
+  amnesia_marker : string;
+  store : Shard_store.t;
+  map : Shard_map.t;
   mutable rids : int IMap.t; (* client -> highest applied write req *)
   mutable amnesiac : bool;
   mutable fresh : bool;
   mutable degraded : string option; (* Some reason = fenced read-only *)
-  (* Volatile lock; its lease is what frees a lock abandoned by a
-     coordinator that died mid-operation. *)
-  lock : Lease.t;
+  (* One volatile lease per locked object; its lease is what frees a
+     lock abandoned by a coordinator that died mid-operation.  Entries
+     leave the table when released, so the table size tracks held
+     locks, not the object space. *)
+  locks : (string, Lease.t) Hashtbl.t;
   obs : Hub.t;
   ctrs : counters;
   mutable round : int;
@@ -252,54 +246,59 @@ type t = {
      are parked here and admitted as operations complete. *)
   pending_clients : Wire.envelope Queue.t;
   (* Scheduler state: parked fibers, the admission count, the ticket
-     turnstile, the lock anchor with its cached gather, and the inbound
-     commit-coalescing buffer. *)
+     turnstile, the group anchor with its per-object cached gather, and
+     the inbound commit-coalescing buffer. *)
   mutable fwaiters : fwaiter list;
   mutable twaiters : twaiter list;
   mutable unlock_pulse : bool;
   mutable inflight : int;
   mutable ticket_next : int;
   mutable ticket_serving : int;
-  mutable anchor : int option;
+  mutable anchor : (int * string list) option;
   mutable anchor_since : float;
   mutable reuse_count : int;
-  mutable gcache : (Site_set.t * Replica.t array * Site_set.t) option;
-  commit_batch :
-    (int * int * Site_set.t * (string * string) option * int) Queue.t;
+  gcache : (string, Site_set.t * Replica.t array * Site_set.t) Hashtbl.t;
+  commit_batch : (string * int * int * Site_set.t * string option * int) Queue.t;
+  (* Objects of admitted-but-unfinished operations, counted so the next
+     group lock round can cover them in the same wire exchange. *)
+  inflight_objects : (string, int) Hashtbl.t;
   (* Outbound staging: in pipelined mode frames accumulate here and leave
      in one write per scheduler burst, so a peer receives a whole burst's
      commits in one wakeup and coalesces their persists.  In the serial
-     default every frame is written immediately — byte-for-byte the old
-     behaviour, which the crash tests' deterministic strike points rely
-     on. *)
+     default every frame is written immediately, which the crash tests'
+     deterministic strike points rely on. *)
   out : Buffer.t;
   staged : bool;
-  (* The data blob (entries + request table) on disk matches the volatile
-     store when false: a persist covering only read commits can skip the
-     blob rewrite, because reads advance the ensemble but never the
-     data. *)
-  mutable data_dirty : bool;
-  (* --- sharded object space (config.shards > 0) --- *)
-  kstore : Shard_store.t option;
-  kmap : Shard_map.t option;
-  (* One volatile lease per locked key; entries leave the table when
-     released, so the table size tracks held locks, not the key space. *)
-  klocks : (string, Lease.t) Hashtbl.t;
-  (* The group anchor: one lock round covering every key of a scheduler
-     burst.  Later operations on those keys join it (local lease refresh
-     only) until rotation, exactly like the single-object anchor. *)
-  mutable kanchor : (int * string list) option;
-  (* Per-key cached gather filled by the anchor's group state round. *)
-  kgcache : (string, Site_set.t * Replica.t array * Site_set.t) Hashtbl.t;
-  kcommit_batch :
-    (string * int * int * Site_set.t * string option * int) Queue.t;
-  (* Keys of admitted-but-unfinished keyed operations, counted so the
-     next group lock round can cover them in the same wire exchange. *)
-  inflight_keys : (string, int) Hashtbl.t;
-  kctrs : kcounters option;
 }
 
 let sharded t = t.config.shards > 0
+
+(* --- voting granularity ----------------------------------------------
+
+   The key -> object map.  With [shards > 0] it is the identity; with
+   [shards = 0] every key maps to [file_object], whose value is the
+   file's entries blob ({!Persist.encode_entries}) — a write replaces
+   the whole file, as in the paper. *)
+
+let file_object = ""
+let object_of t key = if sharded t then key else file_object
+
+(* The client-visible value of [key] inside its object's value. *)
+let get t ~key value =
+  if sharded t then value
+  else Option.bind value (fun blob -> List.assoc_opt key (Persist.decode_entries blob))
+
+(* The object's value after writing [value] under [key]. *)
+let put t ~key ~value current =
+  if sharded t then value
+  else
+    let entries =
+      match current with Some blob -> Persist.decode_entries blob | None -> []
+    in
+    Persist.encode_entries ((key, value) :: List.remove_assoc key entries)
+
+(* Oracle content: injective over (never written | written v). *)
+let oracle_content = function None -> "" | Some v -> "=" ^ v
 
 let site t = t.site
 let is_amnesiac t = t.amnesiac
@@ -328,89 +327,51 @@ let storage t f =
       Hub.event t.obs (Trace.Storage_fault { site = t.site; op = "io"; path = "" });
       Error reason
 
+let corrupt_text what n =
+  Printf.sprintf "%s corrupt mid-log (%d record%s)" what n (if n = 1 then "" else "s")
+
 let boot ~site ~universe ~flavor ~segment_of ~config ~obs ~dir ?(vfs = Vfs.real)
     ~next_seq ~port ~was_restarted () =
   ignore (Persist.ensure_site_dir ~dir site : string);
   let n_sites = Site_set.max_elt universe + 1 in
   let ctx = Operation.make_ctx ~flavor ~segment_of (Ordering.default n_sites) in
   let ctrs = make_counters obs in
-  (* A corrupt or missing record on either file leaves the node amnesiac:
-     it holds no ensemble it could safely vote with.  So does a version
-     mismatch between the two — the residue of a persist that died
-     between the ensemble replace and the data replace; neither file is
-     corrupt, but together they are not a state this site ever held. *)
-  let replica, data_version, store, rids, amnesiac =
-    match Codec.load_result ~vfs ~path:(Persist.ensemble_path ~dir site) () with
-    | Error _ -> (Replica.initial universe, 0, SMap.empty, IMap.empty, true)
-    | Ok replica -> (
-        match Persist.load_data_result ~vfs ~path:(Persist.data_path ~dir site) () with
-        | Error _ -> (replica, 0, SMap.empty, IMap.empty, true)
-        | Ok (version, _, _) when version <> Replica.version replica ->
-            (replica, 0, SMap.empty, IMap.empty, true)
-        | Ok (version, entries, rids) ->
-            ( replica,
-              version,
-              List.fold_left (fun m (k, v) -> SMap.add k v m) SMap.empty entries,
-              rids_of_list rids,
-              false ))
+  (* A missing shards directory on a *restart* is wiped storage — the
+     lazy-initial rule would let this site claim (1, 1, all) for objects
+     whose history it lost, so it boots amnesiac.  A first boot with no
+     directory is genuinely fresh (it never voted on anything) and
+     initial is the truth.  Opening the store recreates the directory, so
+     a durable marker carries the amnesia into later incarnations until
+     a RECOVER succeeds. *)
+  let amnesia_marker = Persist.amnesia_path ~dir site in
+  let amnesiac =
+    was_restarted
+    && ((not (Sys.file_exists (Shard_store.shards_dir ~dir ~site)))
+       || Sys.file_exists amnesia_marker)
   in
-  (* Sharded object space: the per-key state lives in the shard logs,
-     not the single ensemble/data pair.  A missing shards directory on a
-     *restart* is wiped storage — the per-key lazy-initial rule would
-     let this site claim (1, 1, all) for keys whose history it lost, so
-     it boots amnesiac.  A first boot with no directory is genuinely
-     fresh (it never voted on anything) and initial is the truth. *)
-  let kstore, kmap, kctrs, kamnesiac, kcorrupt =
-    if config.shards = 0 then (None, None, None, false, 0)
-    else begin
-      let kamnesiac =
-        was_restarted && not (Sys.file_exists (Shard_store.shards_dir ~dir ~site))
-      in
-      let store, scan =
-        Shard_store.open_store ~vfs ~durable:config.durable ~dir ~site
-          ~shards:config.shards ()
-      in
-      let kctrs = make_kcounters obs in
-      let map =
-        Shard_map.create
-          ~on_materialize:(fun () -> Metrics.incr kctrs.c_materialized)
-          ~on_evict:(fun () -> Metrics.incr kctrs.c_evicted)
-          ~store ~resident:config.resident ~universe ()
-      in
-      Metrics.set_gauge kctrs.g_keys (float_of_int (Shard_store.key_count store));
-      ( Some store,
-        Some map,
-        Some kctrs,
-        kamnesiac,
-        scan.Shard_store.corrupt )
-    end
+  let store, scan =
+    Shard_store.open_store ~vfs ~durable:config.durable ~dir ~site
+      ~shards:(max 1 config.shards) ()
   in
-  (* The keyed applied-request table recovered from the shard logs joins
-     the (empty, in sharded mode) blob table: one global dedup memory
-     per site, whichever engine is running. *)
-  let krids =
-    match kstore with
-    | Some store -> rids_of_list (Shard_store.rid_list store)
-    | None -> IMap.empty
+  let map =
+    Shard_map.create
+      ~on_materialize:(fun () -> Metrics.incr ctrs.c_materialized)
+      ~on_evict:(fun () -> Metrics.incr ctrs.c_evicted)
+      ~store ~resident:config.resident ~universe ()
   in
-  (* A checksum-failing record in the *middle* of the log — intact
-     records after it — is damage no crash explains; the history has a
-     hole and this site must not present itself as a witness.  The same
-     verdict applies to mid-log damage in any shard log. *)
+  Metrics.set_gauge ctrs.g_keys (float_of_int (Shard_store.key_count store));
+  (* A checksum-failing record in the *middle* of a log — intact records
+     after it — is damage no crash explains; the history has a hole and
+     this site must not present itself as a witness. *)
   let oplog_scan = Persist.scan_log ~vfs ~path:(Persist.oplog_path ~dir site) () in
   let degraded =
     if oplog_scan.Persist.corrupt > 0 then begin
       Metrics.add ctrs.c_oplog_corrupt oplog_scan.Persist.corrupt;
-      Some
-        (Printf.sprintf "oplog corrupt mid-log (%d record%s)"
-           oplog_scan.Persist.corrupt
-           (if oplog_scan.Persist.corrupt = 1 then "" else "s"))
+      Some (corrupt_text "oplog" oplog_scan.Persist.corrupt)
     end
-    else if kcorrupt > 0 then begin
-      Metrics.add ctrs.c_oplog_corrupt kcorrupt;
-      Some
-        (Printf.sprintf "shard log corrupt mid-log (%d record%s)" kcorrupt
-           (if kcorrupt = 1 then "" else "s"))
+    else if scan.Shard_store.corrupt > 0 then begin
+      Metrics.add ctrs.c_oplog_corrupt scan.Shard_store.corrupt;
+      Some (corrupt_text "shard log" scan.Shard_store.corrupt)
     end
     else None
   in
@@ -443,21 +404,17 @@ let boot ~site ~universe ~flavor ~segment_of ~config ~obs ~dir ?(vfs = Vfs.real)
       n_sites;
       ctx;
       config;
-      dir;
-      vfs;
       next_seq;
       conn;
       oplog;
-      replica;
-      data_version;
+      amnesia_marker;
       store;
-      rids = IMap.union (fun _ a b -> Some (max a b)) rids krids;
-      amnesiac = (if config.shards > 0 then kamnesiac else amnesiac);
-      fresh =
-        (not was_restarted)
-        && not (if config.shards > 0 then kamnesiac else amnesiac);
+      map;
+      rids = rids_merge IMap.empty scan.Shard_store.rids;
+      amnesiac;
+      fresh = (not was_restarted) && not amnesiac;
       degraded = None;
-      lock = Lease.create ();
+      locks = Hashtbl.create 64;
       obs;
       ctrs;
       round = 0;
@@ -473,22 +430,22 @@ let boot ~site ~universe ~flavor ~segment_of ~config ~obs ~dir ?(vfs = Vfs.real)
       anchor = None;
       anchor_since = neg_infinity;
       reuse_count = 0;
-      gcache = None;
+      gcache = Hashtbl.create 256;
       commit_batch = Queue.create ();
+      inflight_objects = Hashtbl.create 64;
       out = Buffer.create 4096;
       staged = config.pipeline > 1 || config.max_reuse > 0;
-      data_dirty = true;
-      kstore;
-      kmap;
-      klocks = Hashtbl.create 64;
-      kanchor = None;
-      kgcache = Hashtbl.create 256;
-      kcommit_batch = Queue.create ();
-      inflight_keys = Hashtbl.create 64;
-      kctrs;
     }
   in
   (match degraded with Some reason -> degrade t reason | None -> ());
+  if amnesiac && not (Sys.file_exists amnesia_marker) then begin
+    match
+      storage t (fun () ->
+          Codec.write_file_atomic ~vfs ~fsync:true ~path:amnesia_marker "")
+    with
+    | Ok () -> ()
+    | Error reason -> degrade t ("amnesia marker persist failed: " ^ reason)
+  end;
   t
 
 let send_to t dst payload =
@@ -516,18 +473,6 @@ let flush_out t =
     with Unix.Unix_error _ -> raise Dead
   end
 
-let persist t =
-  let fsync = t.config.durable in
-  Codec.write_file_atomic ~vfs:t.vfs ~fsync
-    ~path:(Persist.ensemble_path ~dir:t.dir t.site)
-    (Codec.encode_replica t.replica);
-  if t.data_dirty then begin
-    Persist.save_data ~vfs:t.vfs ~fsync ~rids:(rid_list t.rids)
-      ~path:(Persist.data_path ~dir:t.dir t.site)
-      ~version:t.data_version (SMap.bindings t.store);
-    t.data_dirty <- false
-  end
-
 (* Log or fence: a record that cannot reach the oplog leaves a hole in
    the history this site would later present — better to stop presenting
    it. *)
@@ -536,174 +481,68 @@ let log t record =
   | Ok () -> ()
   | Error reason -> degrade t ("oplog append failed: " ^ reason)
 
-let blob t = Persist.encode_entries (SMap.bindings t.store)
-
-(* Monotone install, as in the paper's COMMIT: stale or duplicated
-   commits can never regress the ensemble.  The ensemble (and any
-   piggybacked write) hits disk before the log claims it was applied, so
-   a crash between the two under-reports a commit rather than inventing
-   one.  A persist that faults rolls the volatile state back to match
-   the disk and fences the site: acking a commit we could not persist
-   would make our next vote a lie. *)
-let apply_commit t ~op_no ~version ~partition ~put ~rid =
-  if t.degraded <> None then Metrics.incr t.ctrs.c_degraded_refused
-  else if op_no > Replica.op_no t.replica then begin
-    let rollback =
-      (t.replica, t.data_version, t.store, t.rids, t.amnesiac, t.fresh)
-    in
-    t.replica <- Replica.with_commit t.replica ~op_no ~version ~partition;
-    (match put with
-    | Some (key, value) ->
-        t.store <- SMap.add key value t.store;
-        t.data_version <- version;
-        if rid <> 0 then t.rids <- rid_add t.rids rid;
-        t.data_dirty <- true
-    | None -> ());
-    t.amnesiac <- false;
-    t.fresh <- true;
-    match storage t (fun () -> persist t) with
-    | Ok () ->
-        Metrics.incr t.ctrs.c_commits_applied;
-        log t (Persist.Log_commit { seq = t.next_seq (); op_no; version; partition; rid })
-    | Error reason ->
-        let replica, data_version, store, rids, amnesiac, fresh = rollback in
-        t.replica <- replica;
-        t.data_version <- data_version;
-        t.store <- store;
-        t.rids <- rids;
-        t.amnesiac <- amnesiac;
-        t.fresh <- fresh;
-        t.data_dirty <- true;
-        degrade t ("persist failed: " ^ reason)
-  end
-
-(* Apply a coalesced run of inbound commits: every applicable commit
-   installs volatile-first, then ONE persist covers the batch, then each
-   applied commit logs in arrival order.  Crash-equivalent to the
-   one-persist-per-commit discipline — a crash before the persist
-   under-reports the whole run, never part of a record.  Any inbound
-   commit means a rival coordinated while we were unlocked, so the
-   anchor's cached gather (if any) is stale: drop it. *)
-let flush_commits t =
-  if not (Queue.is_empty t.commit_batch) then begin
-    let rollback =
-      (t.replica, t.data_version, t.store, t.rids, t.amnesiac, t.fresh)
-    in
-    let applied = ref [] in
-    while not (Queue.is_empty t.commit_batch) do
-      let op_no, version, partition, put, rid = Queue.pop t.commit_batch in
-      if t.degraded <> None then Metrics.incr t.ctrs.c_degraded_refused
-      else if op_no > Replica.op_no t.replica then begin
-        t.replica <- Replica.with_commit t.replica ~op_no ~version ~partition;
-        (match put with
-        | Some (key, value) ->
-            t.store <- SMap.add key value t.store;
-            t.data_version <- version;
-            if rid <> 0 then t.rids <- rid_add t.rids rid;
-            t.data_dirty <- true
-        | None -> ());
-        t.amnesiac <- false;
-        t.fresh <- true;
-        applied := (op_no, version, partition, rid) :: !applied
-      end
-    done;
-    t.gcache <- None;
-    match !applied with
-    | [] -> ()
-    | applied -> (
-        let applied = List.rev applied in
-        match storage t (fun () -> persist t) with
-        | Ok () ->
-            Metrics.observe t.ctrs.h_commit_batch
-              (float_of_int (List.length applied));
-            List.iter
-              (fun (op_no, version, partition, rid) ->
-                Metrics.incr t.ctrs.c_commits_applied;
-                log t
-                  (Persist.Log_commit
-                     { seq = t.next_seq (); op_no; version; partition; rid }))
-              applied
-        | Error reason ->
-            let replica, data_version, store, rids, amnesiac, fresh = rollback in
-            t.replica <- replica;
-            t.data_version <- data_version;
-            t.store <- store;
-            t.rids <- rids;
-            t.amnesiac <- amnesiac;
-            t.fresh <- fresh;
-            t.data_dirty <- true;
-            degrade t ("persist failed: " ^ reason))
-  end
-
-let try_lock t op =
-  Lease.try_acquire t.lock ~now:(t.config.clock ()) ~lease:t.config.lock_lease
-    ~op
-
-let release_lock t op = Lease.release t.lock ~op
-
-(* --- sharded object space -------------------------------------------
-
-   Every key is an independently-voted (o, v, P) object.  The volatile
-   state of the working set lives in the bounded {!Shard_map}; commits
-   write through to the per-shard append logs; the wire protocol runs
-   group-quorum rounds that cover every key of a scheduler burst in one
-   exchange. *)
-
-let kmap_exn t = match t.kmap with Some m -> m | None -> assert false
-let kstore_exn t = match t.kstore with Some s -> s | None -> assert false
-
-(* Per-key oracle content: injective over (never written | written v). *)
-let encode_kvalue = function None -> "" | Some v -> "=" ^ v
-
-let klock t key =
-  match Hashtbl.find_opt t.klocks key with
+let lock_of t key =
+  match Hashtbl.find_opt t.locks key with
   | Some l -> l
   | None ->
       let l = Lease.create () in
-      Hashtbl.add t.klocks key l;
+      Hashtbl.add t.locks key l;
       l
 
-let try_klock t key op =
-  Lease.try_acquire (klock t key) ~now:(t.config.clock ())
+let try_lock t key op =
+  Lease.try_acquire (lock_of t key) ~now:(t.config.clock ())
     ~lease:t.config.lock_lease ~op
 
-let release_klock t key op =
-  match Hashtbl.find_opt t.klocks key with
+let release_lock t key op =
+  match Hashtbl.find_opt t.locks key with
   | None -> ()
   | Some l ->
       Lease.release l ~op;
-      (* Freed keys leave the table: it sizes with held locks, not with
-         the key space. *)
       if Lease.holder l ~now:(t.config.clock ()) = None then
-        Hashtbl.remove t.klocks key
+        Hashtbl.remove t.locks key
 
-let refresh_kgauges t =
-  match (t.kctrs, t.kmap, t.kstore) with
-  | Some k, Some map, Some store ->
-      Metrics.set_gauge k.g_resident (float_of_int (Shard_map.resident map));
-      Metrics.set_gauge k.g_keys (float_of_int (Shard_store.key_count store))
-  | _ -> ()
+(* All-or-nothing over a group: any object already held by a rival
+   refuses the whole group and releases what this attempt acquired, so
+   rival groups cannot deadlock. *)
+let try_lock_all t keys op =
+  let rec go acquired = function
+    | [] -> true
+    | key :: rest ->
+        if try_lock t key op then go (key :: acquired) rest
+        else begin
+          List.iter (fun key -> release_lock t key op) acquired;
+          false
+        end
+  in
+  go [] keys
 
-(* Keyed analogue of {!flush_commits}: every applicable commit installs
-   volatile-first into its entry, then all their records append in one
-   sweep with ONE fsync, then each logs in arrival order.  A fault rolls
-   the volatile entries back and fences; records that already reached
-   disk stay — disk ahead of volatile is forward progress, and the
-   monotone install re-derives it on restart.  Entries are pinned for
-   the duration so a later materialization in the same batch cannot
-   evict one we hold a rollback reference to. *)
-let flush_kcommits t =
-  if not (Queue.is_empty t.kcommit_batch) then begin
-    let map = kmap_exn t and store = kstore_exn t in
+let refresh_gauges t =
+  Metrics.set_gauge t.ctrs.g_resident (float_of_int (Shard_map.resident t.map));
+  Metrics.set_gauge t.ctrs.g_keys (float_of_int (Shard_store.key_count t.store))
+
+(* Monotone install, as in the paper's COMMIT: stale or duplicated
+   commits can never regress an object.  Every applicable commit of the
+   batch installs volatile-first into its entry, then all their records
+   append in one sweep with ONE fsync, then each logs in arrival order —
+   the state hits disk before the log claims it was applied, so a crash
+   between the two under-reports a commit rather than inventing one.  A
+   fault rolls the volatile entries back and fences: acking a commit we
+   could not persist would make our next vote a lie.  Records that
+   already reached disk stay — disk ahead of volatile is forward
+   progress, and the monotone install re-derives it on restart.  Entries
+   are pinned for the duration so a later materialization in the same
+   batch cannot evict one we hold a rollback reference to. *)
+let flush_commits t =
+  if not (Queue.is_empty t.commit_batch) then begin
     let rollback = ref [] in
     let rollback_rids = t.rids and rollback_fresh = t.fresh in
     let pinned = ref [] in
     let applied = ref [] in
-    while not (Queue.is_empty t.kcommit_batch) do
-      let key, op_no, version, partition, value, rid = Queue.pop t.kcommit_batch in
+    while not (Queue.is_empty t.commit_batch) do
+      let key, op_no, version, partition, value, rid = Queue.pop t.commit_batch in
       if t.degraded <> None then Metrics.incr t.ctrs.c_degraded_refused
       else begin
-        let e = Shard_map.find map key in
+        let e = Shard_map.find t.map key in
         if op_no > Replica.op_no (Shard_map.replica e) then begin
           Shard_map.pin e;
           pinned := e :: !pinned;
@@ -732,9 +571,9 @@ let flush_kcommits t =
           storage t (fun () ->
               List.iter
                 (fun (key, _, _, _, rid, st) ->
-                  Shard_store.commit store ~key ~rid st)
+                  Shard_store.commit t.store ~key ~rid st)
                 applied;
-              if t.config.durable then Shard_store.fsync store)
+              if t.config.durable then Shard_store.fsync t.store)
         with
         | Ok () ->
             Metrics.observe t.ctrs.h_commit_batch
@@ -743,7 +582,7 @@ let flush_kcommits t =
               (fun (key, op_no, version, partition, rid, _) ->
                 Metrics.incr t.ctrs.c_commits_applied;
                 log t
-                  (Persist.Log_kcommit
+                  (Persist.Log_commit
                      { seq = t.next_seq (); key; op_no; version; partition; rid }))
               applied
         | Error reason ->
@@ -757,144 +596,130 @@ let flush_kcommits t =
               !rollback;
             t.rids <- rollback_rids;
             t.fresh <- rollback_fresh;
-            degrade t ("shard persist failed: " ^ reason)));
+            degrade t ("persist failed: " ^ reason)));
     List.iter Shard_map.unpin !pinned;
-    refresh_kgauges t
+    refresh_gauges t
   end
 
-(* Direct keyed apply (own share of a commit wave, or a stray inbound
+(* Direct apply (own share of a commit wave, or a stray inbound
    delivery): a one-element batch through the same discipline. *)
-let apply_kcommit t ~key ~op_no ~version ~partition ~value ~rid =
-  Queue.add (key, op_no, version, partition, value, rid) t.kcommit_batch;
-  flush_kcommits t
+let apply_commit t ~key ~op_no ~version ~partition ~value ~rid =
+  Queue.add (key, op_no, version, partition, value, rid) t.commit_batch;
+  flush_commits t
 
 (* Serve one frame of the peer protocol.
 
    A degraded site answers nothing that could count as a vote: state
-   requests and lock requests go unanswered (to the coordinator it looks
-   down, so new partitions form without it), commits are refused.  Data
-   requests are still served — they are read-only, and the fetcher
-   verifies the version before installing. *)
+   requests and lock requests are answered with [Abstain] (to the
+   coordinator it looks down, so new partitions form without it),
+   commits are refused.  Data requests are still served — they are
+   read-only, and the fetcher verifies the version before installing. *)
 let serve_protocol t (env : Wire.envelope) =
   match env.Wire.payload with
-  | Wire.State_request { round } ->
-      (* An amnesiac site must not vote: a guessed ensemble could be
-         counted.  It (and a fenced site) abstains explicitly, so the
-         coordinator excludes it without waiting out the gather. *)
-      if t.amnesiac || t.degraded <> None then
-        send_to t env.Wire.src (Wire.Abstain { round })
+  | Wire.KLock_request { op; keys } ->
+      if t.degraded <> None then send_to t env.Wire.src (Wire.Abstain { round = op })
       else
         send_to t env.Wire.src
-          (Wire.State_reply { round; fresh = t.fresh; replica = t.replica })
-  | Wire.Lock_request { op } ->
-      if t.degraded = None then
-        send_to t env.Wire.src (Wire.Lock_reply { op; granted = try_lock t op })
-      else send_to t env.Wire.src (Wire.Abstain { round = op })
-  | Wire.Unlock { op } ->
-      release_lock t op;
+          (Wire.Lock_reply { op; granted = try_lock_all t keys op })
+  | Wire.KUnlock { op; keys } ->
+      List.iter (fun key -> release_lock t key op) keys;
       (* A rival freed its locks: fibers backing off a denied lock round
          should retry now rather than sleep out their deadline. *)
       t.unlock_pulse <- true
-  | Wire.Data_request { round } ->
-      send_to t env.Wire.src
-        (Wire.Data_reply
-           {
-             round;
-             version = t.data_version;
-             entries = SMap.bindings t.store;
-             rids = rid_list t.rids;
-           })
-  | Wire.Commit { op_no; version; partition; put; rid } ->
-      (* Normally intercepted and coalesced by the scheduler; kept as the
-         direct path for any stray delivery. *)
-      apply_commit t ~op_no ~version ~partition ~put ~rid
-  | Wire.KLock_request { op; keys } ->
-      (* All-or-nothing over the whole group, like the single lock: any
-         key already held by a rival refuses the round and releases what
-         this round acquired, so rival groups cannot deadlock. *)
-      if t.degraded <> None || t.kmap = None then
-        send_to t env.Wire.src (Wire.Abstain { round = op })
-      else begin
-        let acquired = ref [] in
-        let ok =
-          List.for_all
-            (fun key ->
-              if try_klock t key op then begin
-                acquired := key :: !acquired;
-                true
-              end
-              else false)
-            keys
+  | Wire.KState_request { round; keys } ->
+      (* An amnesiac site must not vote: a guessed ensemble could be
+         counted.  It (and a fenced site) abstains explicitly, so the
+         coordinator excludes it without waiting out the gather.  An
+         object this site never committed reports the paper's initial
+         state — the lazy-materialization rule, sound because a
+         non-amnesiac site that had seen it would have it in its shard
+         logs. *)
+      if t.amnesiac || t.degraded <> None then
+        send_to t env.Wire.src (Wire.Abstain { round })
+      else
+        let states =
+          List.map (fun key -> (key, Shard_map.replica (Shard_map.find t.map key))) keys
         in
-        if not ok then List.iter (fun key -> release_klock t key op) !acquired;
-        send_to t env.Wire.src (Wire.Lock_reply { op; granted = ok })
-      end
-  | Wire.KUnlock { op; keys } ->
-      List.iter (fun key -> release_klock t key op) keys;
-      t.unlock_pulse <- true
-  | Wire.KState_request { round; keys } -> (
-      match t.kmap with
-      | Some map when t.degraded = None && not t.amnesiac ->
-          (* A key this site never committed reports the paper's initial
-             state — the lazy-materialization rule, sound because a
-             non-amnesiac site that had seen the key would have it in
-             its shard logs. *)
-          let states =
-            List.map
-              (fun key -> (key, Shard_map.replica (Shard_map.find map key)))
-              keys
-          in
-          send_to t env.Wire.src
-            (Wire.KState_reply { round; fresh = t.fresh; states })
-      | _ -> send_to t env.Wire.src (Wire.Abstain { round }))
+        send_to t env.Wire.src (Wire.KState_reply { round; fresh = t.fresh; states })
   | Wire.KCommit { key; op_no; version; partition; value; rid } ->
       (* Normally intercepted and coalesced by the scheduler; kept as the
          direct path for any stray delivery. *)
-      if t.kmap <> None then
-        apply_kcommit t ~key ~op_no ~version ~partition ~value ~rid
-  | Wire.KData_request { round; key } -> (
-      match t.kmap with
-      | Some map ->
-          let entry = Shard_map.find map key in
-          send_to t env.Wire.src
-            (Wire.KData_reply
-               {
-                 round;
-                 key;
-                 version = Shard_map.data_version entry;
-                 value = Shard_map.value entry;
-                 rids = rid_list t.rids;
-               })
-      | None -> ())
+      apply_commit t ~key ~op_no ~version ~partition ~value ~rid
+  | Wire.KData_request { round; key } ->
+      let entry = Shard_map.find t.map key in
+      send_to t env.Wire.src
+        (Wire.KData_reply
+           {
+             round;
+             key;
+             version = Shard_map.data_version entry;
+             value = Shard_map.value entry;
+             rids = rid_list t.rids;
+           })
   | Wire.Client_put _ | Wire.Client_get _ | Wire.Client_recover _ ->
       Queue.add env t.pending_clients
-  | Wire.Hello_site _ | Wire.Hello_client | Wire.Welcome _ | Wire.State_reply _
-  | Wire.Lock_reply _ | Wire.Data_reply _ | Wire.Client_reply _ | Wire.Abstain _
-  | Wire.KState_reply _ | Wire.KData_reply _ ->
+  | Wire.Hello_site _ | Wire.Hello_client | Wire.Welcome _ | Wire.Lock_reply _
+  | Wire.Client_reply _ | Wire.Abstain _ | Wire.KState_reply _ | Wire.KData_reply _ ->
       (* Stray replies of a finished or abandoned exchange. *)
       ()
 
 (* Park this fiber until [deadline] for a frame satisfying [match_reply];
    the scheduler keeps the connection drained meanwhile. *)
-let await _t ~deadline ~match_reply =
+let await ~deadline ~match_reply =
   Effect.perform (Await_frame { deadline; match_reply; wake_on_unlock = false })
 
 let peers t = Site_set.remove t.site t.universe
 
-(* The volatile lock round: all-or-nothing over the peers that answer.
+(* --- group quorum rounds ---------------------------------------------
+
+   One lock round and one state round cover every object a scheduler
+   burst touches: the group is the current object plus the objects of
+   every admitted and every queued client operation.  Operations behind
+   the acquirer then join the anchor — a local lease refresh, zero wire
+   traffic — and decide against the cached per-object gather. *)
+
+let group_cap = 128
+
+let build_group t obj =
+  let seen = Hashtbl.create 16 in
+  let count = ref 0 in
+  let group = ref [] in
+  let add k =
+    if !count < group_cap && not (Hashtbl.mem seen k) then begin
+      Hashtbl.add seen k ();
+      incr count;
+      group := k :: !group
+    end
+  in
+  add obj;
+  Hashtbl.iter (fun k n -> if n > 0 then add k) t.inflight_objects;
+  Queue.iter
+    (fun env ->
+      match env.Wire.payload with
+      | Wire.Client_put { key = k; _ } | Wire.Client_get { key = k; _ } ->
+          add (object_of t k)
+      | _ -> ())
+    t.pending_clients;
+  List.rev !group
+
+(* The volatile lock round: local leases for every object, then one
+   KLock_request broadcast, all-or-nothing over the peers that answer.
    Silent peers are simply unreachable — they hold no lock and take no
    part in the gather either.  Any refusal releases everything acquired
    (and our own), so two rivals cannot deadlock; they just retry. *)
-let lock_round t op =
+let lock_round t op keys =
   Metrics.incr t.ctrs.c_lock_rounds;
   Hub.event t.obs (Trace.Lock_round_start { site = t.site; op });
-  if not (try_lock t op) then begin
+  let denied () =
     Metrics.incr t.ctrs.c_lock_denied;
     Hub.event t.obs (Trace.Lock_denied { site = t.site; op });
     `Denied
-  end
+  in
+  if not (try_lock_all t keys op) then denied ()
   else begin
-    Site_set.iter (fun dst -> send_to t dst (Wire.Lock_request { op })) (peers t);
+    Site_set.iter
+      (fun dst -> send_to t dst (Wire.KLock_request { op; keys }))
+      (peers t);
     let replies = Hashtbl.create 8 in
     let abstained = Hashtbl.create 4 in
     let deadline = t.config.clock () +. t.config.gather_timeout in
@@ -902,7 +727,7 @@ let lock_round t op =
     let rec collect () =
       if Hashtbl.length replies + Hashtbl.length abstained < want then
         match
-          await t ~deadline ~match_reply:(fun env ->
+          await ~deadline ~match_reply:(fun env ->
               match env.Wire.payload with
               | Wire.Lock_reply { op = o; granted } when o = op ->
                   Some (env.Wire.src, `Vote granted)
@@ -921,26 +746,21 @@ let lock_round t op =
         | None -> ()
     in
     collect ();
-    let all_granted = Hashtbl.fold (fun _ granted acc -> acc && granted) replies true in
-    if all_granted then `Granted
+    if Hashtbl.fold (fun _ granted acc -> acc && granted) replies true then `Granted
     else begin
-      Site_set.iter (fun dst -> send_to t dst (Wire.Unlock { op })) (peers t);
-      release_lock t op;
-      Metrics.incr t.ctrs.c_lock_denied;
-      Hub.event t.obs (Trace.Lock_denied { site = t.site; op });
-      `Denied
+      Site_set.iter (fun dst -> send_to t dst (Wire.KUnlock { op; keys })) (peers t);
+      List.iter (fun key -> release_lock t key op) keys;
+      denied ()
     end
   end
 
-let unlock_all t op =
-  Site_set.iter (fun dst -> send_to t dst (Wire.Unlock { op })) (peers t);
-  release_lock t op
-
-(* START: broadcast a state request and gather replies under the bounded
-   retry/backoff discipline of the msgsim Deadline model.  Freshness is
-   distributed here: each reply carries the replier's own claim.  Returns
-   (reachable, states, fresh). *)
-let gather t =
+(* START: one KState_request names every object of the group; each
+   replier answers with its ensemble for all of them (initial for
+   objects it never committed), under the bounded retry/backoff
+   discipline of the msgsim Deadline model.  Freshness is distributed
+   here: each reply carries the replier's own claim.  Fills the
+   per-object gather cache the operations decide against. *)
+let gather t keys =
   t.round <- t.round + 1;
   let round = t.round in
   let replies = Hashtbl.create 8 in
@@ -956,23 +776,25 @@ let gather t =
   let rec attempt n patience =
     let absent = missing () in
     if not (Site_set.is_empty absent) then begin
-      Site_set.iter (fun dst -> send_to t dst (Wire.State_request { round })) absent;
+      Site_set.iter
+        (fun dst -> send_to t dst (Wire.KState_request { round; keys }))
+        absent;
       let deadline = t.config.clock () +. patience in
       let rec collect () =
         if not (Site_set.is_empty (missing ())) then
           match
-            await t ~deadline ~match_reply:(fun env ->
+            await ~deadline ~match_reply:(fun env ->
                 match env.Wire.payload with
-                | Wire.State_reply { round = r; fresh; replica } when r = round ->
-                    Some (env.Wire.src, `State (fresh, replica))
+                | Wire.KState_reply { round = r; fresh; states } when r = round ->
+                    Some (env.Wire.src, `State (fresh, states))
                 | Wire.Abstain { round = r } when r = round ->
                     (* Fenced or amnesiac: counts as reached-but-voteless,
                        exactly like silence, minus the timeout. *)
                     Some (env.Wire.src, `Abstain)
                 | _ -> None)
           with
-          | Some (src, `State (fresh, replica)) ->
-              Hashtbl.replace replies src (fresh, replica);
+          | Some (src, `State (fresh, states)) ->
+              Hashtbl.replace replies src (fresh, states);
               collect ()
           | Some (src, `Abstain) ->
               Hashtbl.replace abstained src ();
@@ -984,16 +806,27 @@ let gather t =
     end
   in
   attempt 0 t.config.gather_timeout;
-  let states = Array.make t.n_sites t.replica in
   let self = if t.amnesiac then Site_set.empty else Site_set.singleton t.site in
   let self_fresh = if t.fresh && not t.amnesiac then self else Site_set.empty in
   let reachable, fresh =
     Hashtbl.fold
-      (fun src (fresh, replica) (reach, fr) ->
-        states.(src) <- replica;
-        (Site_set.add src reach, if fresh then Site_set.add src fr else fr))
+      (fun src (fresh_claim, _) (reach, fr) ->
+        (Site_set.add src reach, if fresh_claim then Site_set.add src fr else fr))
       replies (self, self_fresh)
   in
+  List.iter
+    (fun key ->
+      let states =
+        Array.make t.n_sites (Shard_map.replica (Shard_map.find t.map key))
+      in
+      Hashtbl.iter
+        (fun src (_, kstates) ->
+          match List.assoc_opt key kstates with
+          | Some replica -> states.(src) <- replica
+          | None -> ())
+        replies;
+      Hashtbl.replace t.gcache key (reachable, states, fresh))
+    keys;
   Metrics.incr t.ctrs.c_gathers;
   Hub.event t.obs
     (Trace.Gather
@@ -1002,15 +835,17 @@ let gather t =
          round;
          reachable = Site_set.cardinal reachable;
          fresh = Site_set.cardinal fresh;
-       });
-  (reachable, states, fresh)
+       })
 
-(* Verified data fetch: ask the up-to-date sites in turn until a snapshot
-   of at least [want_version] lands.  The install is wholesale — local
-   data may be the residue of an uncommitted write (or amnesiac garbage)
-   whatever its version number says — and brings the applied-request
-   table with it. *)
-let fetch_data t ~sources ~want_version =
+(* Verified fetch: ask the up-to-date sites in turn until a copy of at
+   least [want_version] lands.  The install replaces the object's value
+   wholesale — local data may be the residue of an uncommitted write (or
+   amnesiac garbage) whatever its version number says — and merges the
+   source's applied-request table, made durable immediately (the rids
+   sidecar): committing a read after the merge and then crashing must
+   not forget which writes were already applied, or a client retry
+   would re-apply one. *)
+let fetch t ~key ~entry ~sources ~want_version =
   let sources = Site_set.to_list sources in
   let n_sources = List.length sources in
   let attempts = max t.config.retries (n_sources - 1) in
@@ -1021,23 +856,31 @@ let fetch_data t ~sources ~want_version =
       t.round <- t.round + 1;
       let round = t.round in
       Metrics.incr t.ctrs.c_fetches;
-      send_to t src (Wire.Data_request { round });
+      send_to t src (Wire.KData_request { round; key });
       let deadline = t.config.clock () +. patience in
       match
-        await t ~deadline ~match_reply:(fun env ->
+        await ~deadline ~match_reply:(fun env ->
             match env.Wire.payload with
-            | Wire.Data_reply { round = r; version; entries; rids } when r = round ->
-                Some (version, entries, rids)
+            | Wire.KData_reply { round = r; key = k; version; value; rids }
+              when r = round && k = key ->
+                Some (version, value, rids)
             | _ -> None)
       with
-      | Some (version, entries, rids) when version >= want_version ->
-          t.store <-
-            List.fold_left (fun m (k, v) -> SMap.add k v m) SMap.empty entries;
-          t.data_version <- version;
-          t.rids <- rids_of_list rids;
-          t.data_dirty <- true;
-          Hub.event t.obs (Trace.Data_fetch { site = t.site; source = src; ok = true });
-          true
+      | Some (version, value, rids) when version >= want_version -> (
+          Shard_map.set_value entry value;
+          Shard_map.set_data_version entry version;
+          t.rids <- rids_merge t.rids rids;
+          match
+            storage t (fun () ->
+                Shard_store.save_rids ~fsync:t.config.durable t.store rids)
+          with
+          | Ok () ->
+              Hub.event t.obs
+                (Trace.Data_fetch { site = t.site; source = src; ok = true });
+              true
+          | Error reason ->
+              degrade t ("rid sidecar persist failed: " ^ reason);
+              false)
       | Some _ | None ->
           Metrics.incr t.ctrs.c_fetch_failures;
           Hub.event t.obs
@@ -1052,7 +895,7 @@ let fetch_data t ~sources ~want_version =
    crash point — {!Killed} unwinds the whole thread, leaving the prefix
    of recipients that already heard the commit, held locks to expire by
    lease, and no outcome record: exactly a coordinator dead mid-wave. *)
-let commit_wave t ~recipients ~op_no ~version ~partition ~put ~rid =
+let commit_wave t ~recipients ~key ~op_no ~version ~partition ~value ~rid =
   let total = Site_set.cardinal recipients in
   Metrics.incr t.ctrs.c_commit_waves;
   Hub.event t.obs
@@ -1060,8 +903,10 @@ let commit_wave t ~recipients ~op_no ~version ~partition ~put ~rid =
   let sent = ref 0 in
   Site_set.iter
     (fun dst ->
-      if dst = t.site then apply_commit t ~op_no ~version ~partition ~put ~rid
-      else send_to t dst (Wire.Commit { op_no; version; partition; put; rid });
+      if dst = t.site then
+        apply_commit t ~key ~op_no ~version ~partition ~value ~rid
+      else
+        send_to t dst (Wire.KCommit { key; op_no; version; partition; value; rid });
       incr sent;
       match t.commit_hook with
       | Some hook ->
@@ -1071,6 +916,18 @@ let commit_wave t ~recipients ~op_no ~version ~partition ~put ~rid =
           hook ~sent:!sent ~total
       | None -> ())
     recipients
+
+(* Our own commit wave advances the cached gather in place of a fresh
+   one: every recipient now holds the committed ensemble and is fresh. *)
+let note_commit t ~key ~recipients ~op_no ~version ~partition =
+  match Hashtbl.find_opt t.gcache key with
+  | Some (reachable, states, fresh) ->
+      Site_set.iter
+        (fun s ->
+          states.(s) <- Replica.with_commit states.(s) ~op_no ~version ~partition)
+        recipients;
+      Hashtbl.replace t.gcache key (reachable, states, Site_set.union fresh recipients)
+  | None -> ()
 
 let reply_client t ~client ~req status value info =
   (match status with
@@ -1106,16 +963,19 @@ let pass_turn t passed =
 
 let release_anchor t =
   match t.anchor with
-  | Some a ->
-      unlock_all t a;
+  | Some (a, keys) ->
+      Site_set.iter
+        (fun dst -> send_to t dst (Wire.KUnlock { op = a; keys }))
+        (peers t);
+      List.iter (fun key -> release_lock t key a) keys;
       t.anchor <- None;
-      t.gcache <- None
+      Hashtbl.reset t.gcache
   | None -> ()
 
 (* Hold the anchor between operations only while reuse is enabled and
-   more work is already queued; with the defaults this releases exactly
-   where the sequential coordinator called [unlock_all].  ([inflight]
-   still counts the calling fiber, so [<= 1] means "no one behind me".) *)
+   more work is already queued; with the defaults this releases at the
+   end of every operation.  ([inflight] still counts the calling fiber,
+   so [<= 1] means "no one behind me".) *)
 let maybe_release t =
   if
     t.config.max_reuse = 0
@@ -1123,337 +983,56 @@ let maybe_release t =
     || t.degraded <> None
   then release_anchor t
 
-(* Our own commit wave advances the cached gather in place of a fresh
-   one: every recipient now holds the committed ensemble and is fresh. *)
-let note_commit t ~recipients ~op_no ~version ~partition =
-  match t.gcache with
-  | Some (reachable, states, fresh) ->
-      Site_set.iter
-        (fun s ->
-          states.(s) <- Replica.with_commit states.(s) ~op_no ~version ~partition)
-        recipients;
-      t.gcache <- Some (reachable, states, Site_set.union fresh recipients)
-  | None -> ()
-
-(* --- group quorum rounds ---------------------------------------------
-
-   One lock round and one state round cover every key a scheduler burst
-   touches: the group is the current key plus the keys of every admitted
-   and every queued client operation.  Operations behind the acquirer
-   then join the anchor — a local lease refresh, zero wire traffic — and
-   decide against the cached per-key gather. *)
-
-let group_cap = 128
-
-let build_group t key =
-  let seen = Hashtbl.create 16 in
-  let count = ref 0 in
-  let group = ref [] in
-  let add k =
-    if !count < group_cap && not (Hashtbl.mem seen k) then begin
-      Hashtbl.add seen k ();
-      incr count;
-      group := k :: !group
-    end
-  in
-  add key;
-  Hashtbl.iter (fun k n -> if n > 0 then add k) t.inflight_keys;
-  Queue.iter
-    (fun env ->
-      match env.Wire.payload with
-      | Wire.Client_put { key = k; _ } | Wire.Client_get { key = k; _ } -> add k
-      | _ -> ())
-    t.pending_clients;
-  List.rev !group
-
-(* Group lock round: local leases for every key, then one KLock_request
-   broadcast.  All-or-nothing exactly like {!lock_round}. *)
-let klock_round t op keys =
-  Metrics.incr t.ctrs.c_lock_rounds;
-  Hub.event t.obs (Trace.Lock_round_start { site = t.site; op });
-  let acquired = ref [] in
-  let self_ok =
-    List.for_all
-      (fun key ->
-        if try_klock t key op then begin
-          acquired := key :: !acquired;
-          true
-        end
-        else false)
-      keys
-  in
-  if not self_ok then begin
-    List.iter (fun key -> release_klock t key op) !acquired;
-    Metrics.incr t.ctrs.c_lock_denied;
-    Hub.event t.obs (Trace.Lock_denied { site = t.site; op });
-    `Denied
-  end
-  else begin
-    Site_set.iter
-      (fun dst -> send_to t dst (Wire.KLock_request { op; keys }))
-      (peers t);
-    let replies = Hashtbl.create 8 in
-    let abstained = Hashtbl.create 4 in
-    let deadline = t.config.clock () +. t.config.gather_timeout in
-    let want = Site_set.cardinal (peers t) in
-    let rec collect () =
-      if Hashtbl.length replies + Hashtbl.length abstained < want then
-        match
-          await t ~deadline ~match_reply:(fun env ->
-              match env.Wire.payload with
-              | Wire.Lock_reply { op = o; granted } when o = op ->
-                  Some (env.Wire.src, `Vote granted)
-              | Wire.Abstain { round } when round = op ->
-                  Some (env.Wire.src, `Abstain)
-              | _ -> None)
-        with
-        | Some (src, `Vote granted) ->
-            Hashtbl.replace replies src granted;
-            collect ()
-        | Some (src, `Abstain) ->
-            Hashtbl.replace abstained src ();
-            collect ()
-        | None -> ()
-    in
-    collect ();
-    let all_granted =
-      Hashtbl.fold (fun _ granted acc -> acc && granted) replies true
-    in
-    if all_granted then `Granted
-    else begin
-      Site_set.iter
-        (fun dst -> send_to t dst (Wire.KUnlock { op; keys }))
-        (peers t);
-      List.iter (fun key -> release_klock t key op) keys;
-      Metrics.incr t.ctrs.c_lock_denied;
-      Hub.event t.obs (Trace.Lock_denied { site = t.site; op });
-      `Denied
-    end
-  end
-
-(* Group gather: one KState_request names every key; each replier
-   answers with its ensemble for all of them (initial for keys it never
-   committed).  Fills the per-key gather cache the joined operations
-   decide against. *)
-let kgather t keys =
-  t.round <- t.round + 1;
-  let round = t.round in
-  let map = kmap_exn t in
-  let replies = Hashtbl.create 8 in
-  let abstained = Hashtbl.create 4 in
-  let missing () =
-    Site_set.filter
-      (fun s ->
-        (s <> t.site)
-        && (not (Hashtbl.mem replies s))
-        && not (Hashtbl.mem abstained s))
-      t.universe
-  in
-  let rec attempt n patience =
-    let absent = missing () in
-    if not (Site_set.is_empty absent) then begin
-      Site_set.iter
-        (fun dst -> send_to t dst (Wire.KState_request { round; keys }))
-        absent;
-      let deadline = t.config.clock () +. patience in
-      let rec collect () =
-        if not (Site_set.is_empty (missing ())) then
-          match
-            await t ~deadline ~match_reply:(fun env ->
-                match env.Wire.payload with
-                | Wire.KState_reply { round = r; fresh; states } when r = round ->
-                    Some (env.Wire.src, `State (fresh, states))
-                | Wire.Abstain { round = r } when r = round ->
-                    Some (env.Wire.src, `Abstain)
-                | _ -> None)
-          with
-          | Some (src, `State (fresh, states)) ->
-              Hashtbl.replace replies src (fresh, states);
-              collect ()
-          | Some (src, `Abstain) ->
-              Hashtbl.replace abstained src ();
-              collect ()
-          | None -> ()
-      in
-      collect ();
-      if n < t.config.retries then attempt (n + 1) (patience *. t.config.backoff)
-    end
-  in
-  attempt 0 t.config.gather_timeout;
-  let self = if t.amnesiac then Site_set.empty else Site_set.singleton t.site in
-  let self_fresh = if t.fresh && not t.amnesiac then self else Site_set.empty in
-  let reachable, fresh =
-    Hashtbl.fold
-      (fun src (fresh_claim, _) (reach, fr) ->
-        (Site_set.add src reach, if fresh_claim then Site_set.add src fr else fr))
-      replies (self, self_fresh)
-  in
-  List.iter
-    (fun key ->
-      let states =
-        Array.make t.n_sites (Shard_map.replica (Shard_map.find map key))
-      in
-      Hashtbl.iter
-        (fun src (_, kstates) ->
-          match List.assoc_opt key kstates with
-          | Some replica -> states.(src) <- replica
-          | None -> ())
-        replies;
-      Hashtbl.replace t.kgcache key (reachable, states, fresh))
-    keys;
-  Metrics.incr t.ctrs.c_gathers;
-  Hub.event t.obs
-    (Trace.Gather
-       {
-         site = t.site;
-         round;
-         reachable = Site_set.cardinal reachable;
-         fresh = Site_set.cardinal fresh;
-       })
-
-(* Per-key verified fetch.  The imported applied-request table is made
-   durable immediately (the rids sidecar): committing a read after the
-   merge and then crashing must not forget which writes were already
-   applied, or a client retry would re-apply one. *)
-let kfetch t ~key ~entry ~sources ~want_version =
-  let store = kstore_exn t in
-  let sources = Site_set.to_list sources in
-  let n_sources = List.length sources in
-  let attempts = max t.config.retries (n_sources - 1) in
-  let rec attempt n patience =
-    if n > attempts then false
-    else begin
-      let src = List.nth sources (n mod n_sources) in
-      t.round <- t.round + 1;
-      let round = t.round in
-      Metrics.incr t.ctrs.c_fetches;
-      send_to t src (Wire.KData_request { round; key });
-      let deadline = t.config.clock () +. patience in
-      match
-        await t ~deadline ~match_reply:(fun env ->
-            match env.Wire.payload with
-            | Wire.KData_reply { round = r; key = k; version; value; rids }
-              when r = round && k = key ->
-                Some (version, value, rids)
-            | _ -> None)
-      with
-      | Some (version, value, rids) when version >= want_version -> (
-          Shard_map.set_value entry value;
-          Shard_map.set_data_version entry version;
-          t.rids <-
-            List.fold_left
-              (fun m (client, req) ->
-                IMap.update client
-                  (function None -> Some req | Some seen -> Some (max seen req))
-                  m)
-              t.rids rids;
-          match
-            storage t (fun () ->
-                Shard_store.save_rids ~fsync:t.config.durable store rids)
-          with
-          | Ok () ->
-              Hub.event t.obs
-                (Trace.Data_fetch { site = t.site; source = src; ok = true });
-              true
-          | Error reason ->
-              degrade t ("rid sidecar persist failed: " ^ reason);
-              false)
-      | Some _ | None ->
-          Metrics.incr t.ctrs.c_fetch_failures;
-          Hub.event t.obs
-            (Trace.Data_fetch { site = t.site; source = src; ok = false });
-          attempt (n + 1) (patience *. t.config.backoff)
-    end
-  in
-  attempt 0 t.config.gather_timeout
-
-let kcommit_wave t ~recipients ~key ~op_no ~version ~partition ~value ~rid =
-  let total = Site_set.cardinal recipients in
-  Metrics.incr t.ctrs.c_commit_waves;
-  Hub.event t.obs
-    (Trace.Commit_wave { site = t.site; op_no; recipients = total });
-  let sent = ref 0 in
-  Site_set.iter
-    (fun dst ->
-      if dst = t.site then
-        apply_kcommit t ~key ~op_no ~version ~partition ~value ~rid
-      else
-        send_to t dst (Wire.KCommit { key; op_no; version; partition; value; rid });
-      incr sent;
-      match t.commit_hook with
-      | Some hook ->
-          flush_out t;
-          hook ~sent:!sent ~total
-      | None -> ())
-    recipients
-
-let note_kcommit t ~key ~recipients ~op_no ~version ~partition =
-  match Hashtbl.find_opt t.kgcache key with
-  | Some (reachable, states, fresh) ->
-      Site_set.iter
-        (fun s ->
-          states.(s) <- Replica.with_commit states.(s) ~op_no ~version ~partition)
-        recipients;
-      Hashtbl.replace t.kgcache key
-        (reachable, states, Site_set.union fresh recipients)
-  | None -> ()
-
-let release_kanchor t =
-  match t.kanchor with
-  | Some (a, keys) ->
-      Site_set.iter
-        (fun dst -> send_to t dst (Wire.KUnlock { op = a; keys }))
-        (peers t);
-      List.iter (fun key -> release_klock t key a) keys;
-      t.kanchor <- None;
-      Hashtbl.reset t.kgcache
-  | None -> ()
-
-let maybe_release_k t =
-  if
-    t.config.max_reuse = 0
-    || (t.inflight <= 1 && Queue.is_empty t.pending_clients)
-    || t.degraded <> None
-  then release_kanchor t
-
-(* One client operation, coordinated at this node: lock round (with
-   bounded retry on rivalry) or anchor join, gather (or cached view),
-   decide, fetch if stale, COMMIT wave, outcome record, unlock, reply —
-   the paper's protocol as genuine request/reply exchanges, running as a
-   suspendable fiber. *)
-let client_op t ~client ~req kind =
+(* One client operation, coordinated at this node: group lock round
+   (with bounded retry on rivalry) or anchor join, gather (or cached
+   view), decide, fetch if stale, COMMIT wave, outcome record, unlock,
+   reply — the paper's protocol as genuine request/reply exchanges,
+   running as a suspendable fiber.  RECOVER re-admits this site into its
+   object's partition; only the one-object map offers it (see
+   {!spawn_op}). *)
+let client_op t ~client ~req ~key kind =
   let kind_tag =
-    match kind with `Read _ -> `Read | `Write _ -> `Write | `Recover -> `Recover
+    match kind with `Read -> `Read | `Write _ -> `Write | `Recover -> `Recover
   in
   let rid = match kind_tag with `Write -> make_rid ~client ~req | _ -> 0 in
+  let obj = object_of t key in
   match t.degraded with
   | Some reason ->
       (* Fenced: serve nothing that could ack or mutate.  A get still
          reports the local value — visibly marked Degraded so the client
          retries at a live site. *)
       let value =
-        match kind with `Read key -> SMap.find_opt key t.store | _ -> None
+        match kind_tag with
+        | `Read -> get t ~key (Shard_map.value (Shard_map.find t.map obj))
+        | _ -> None
       in
       reply_client t ~client ~req Wire.Degraded value ("degraded: " ^ reason)
   | None ->
   if t.amnesiac && kind_tag <> `Recover then
-    reply_client t ~client ~req Wire.Denied None
-      "amnesiac: stable record lost, RECOVER first"
+    reply_client t ~client ~req Wire.Denied None "amnesiac: stable record lost"
   else begin
     t.op_counter <- t.op_counter + 1;
     let op = (t.site lsl 24) lor (t.op_counter land 0xFFFFFF) in
     let passed = ref false in
     take_turn t;
     Fun.protect ~finally:(fun () -> pass_turn t passed) @@ fun () ->
+    let entry = Shard_map.find t.map obj in
+    Shard_map.pin entry;
+    Fun.protect
+      ~finally:(fun () ->
+        Shard_map.unpin entry;
+        refresh_gauges t)
+    @@ fun () ->
     (* Site-dependent backoff skew breaks retry symmetry between rivals. *)
     let skew = 1.0 +. (0.13 *. float_of_int (t.site mod 7)) in
     let acquire_fresh () =
+      let keys = build_group t obj in
       let rec acquire i =
-        match lock_round t op with
+        match lock_round t op keys with
         | `Granted -> true
         | `Denied when i < t.config.lock_retries ->
             (* Back off without going deaf: the scheduler keeps serving
-               protocol frames, and a rival's Unlock ends the sleep. *)
+               protocol frames, and a rival's unlock ends the sleep. *)
             let deadline =
               t.config.clock ()
               +. (t.config.lock_backoff *. float_of_int (i + 1) *. skew)
@@ -1471,10 +1050,12 @@ let client_op t ~client ~req kind =
         | `Denied -> false
       in
       if acquire 0 then begin
-        t.anchor <- Some op;
+        t.anchor <- Some (op, keys);
         t.anchor_since <- t.config.clock ();
         t.reuse_count <- 0;
-        t.gcache <- None;
+        Hashtbl.reset t.gcache;
+        Metrics.observe t.ctrs.h_group (float_of_int (List.length keys));
+        gather t keys;
         true
       end
       else false
@@ -1489,17 +1070,17 @@ let client_op t ~client ~req kind =
     in
     let locked =
       match t.anchor with
-      | Some a when (not (rotation_due ())) && try_lock t a ->
-          (* Join the anchor: the locks are already held cluster-wide
-             under [a]; refreshing our own lease is the only touch.  (A
+      | Some (a, akeys)
+        when List.mem obj akeys && (not (rotation_due ())) && try_lock t obj a ->
+          (* Join the group anchor: the whole group's locks are already
+             held cluster-wide under [a] and the gather cache covers this
+             object — refreshing our own lease is the only touch.  (A
              failed refresh means the lease lapsed and a rival took the
              local lock — the anchor is gone.) *)
           t.reuse_count <- t.reuse_count + 1;
           true
-      | Some a ->
-          unlock_all t a;
-          t.anchor <- None;
-          t.gcache <- None;
+      | Some _ ->
+          release_anchor t;
           acquire_fresh ()
       | None -> acquire_fresh ()
     in
@@ -1508,14 +1089,13 @@ let client_op t ~client ~req kind =
         "busy: rival operation holds the locks"
     else begin
       let decide () =
-        match t.gcache with
-        | Some (reachable, states, fresh) when kind_tag <> `Recover ->
+        match Hashtbl.find_opt t.gcache obj with
+        | Some (reachable, states, fresh) ->
             Metrics.incr t.ctrs.c_gather_reused;
             (reachable, states, fresh, true)
-        | _ ->
-            let reachable, states, fresh = gather t in
-            if t.config.max_reuse > 0 && kind_tag <> `Recover then
-              t.gcache <- Some (reachable, states, fresh);
+        | None ->
+            gather t [ obj ];
+            let reachable, states, fresh = Hashtbl.find t.gcache obj in
             (reachable, states, fresh, false)
       in
       let rec evaluate_round retried =
@@ -1524,52 +1104,56 @@ let client_op t ~client ~req kind =
         | Decision.Denied _ when cached && not retried ->
             (* The cached view denied us; it may merely be stale.  One
                fresh gather settles it. *)
-            t.gcache <- None;
+            Hashtbl.remove t.gcache obj;
             evaluate_round true
         | decision -> (decision, states)
       in
+      let outcome ~granted content =
+        log t
+          (Persist.Log_outcome
+             { seq = t.next_seq (); key = obj; kind = kind_tag; granted; content; rid })
+      in
+      (* The outcome record takes its stamp before the turn passes and
+         the locks go. *)
+      let finish status value info =
+        pass_turn t passed;
+        maybe_release t;
+        reply_client t ~client ~req status value info
+      in
       match evaluate_round false with
       | Decision.Denied denial, _ ->
-          (match kind_tag with
-          | `Write ->
-              log t
-                (Persist.Log_outcome
-                   { seq = t.next_seq (); kind = `Write; granted = false; content = None; rid })
-          | `Read ->
-              log t
-                (Persist.Log_outcome
-                   { seq = t.next_seq (); kind = `Read; granted = false; content = None; rid })
-          | `Recover -> ());
-          pass_turn t passed;
-          maybe_release t;
-          reply_client t ~client ~req Wire.Denied None (denial_text denial)
+          if kind_tag <> `Recover then outcome ~granted:false None;
+          finish Wire.Denied None (denial_text denial)
       | Decision.Granted g, states ->
           let m = g.Decision.m in
           let o = Replica.op_no states.(m) and v = Replica.version states.(m) in
-          let in_s = Site_set.mem t.site g.Decision.s in
+          let s = g.Decision.s in
           let abort info =
-            log t
-              (Persist.Log_outcome
-                 {
-                   seq = t.next_seq ();
-                   kind = kind_tag;
-                   granted = false;
-                   content = None;
-                   rid;
-                 });
-            pass_turn t passed;
-            t.gcache <- None;
-            maybe_release t;
-            reply_client t ~client ~req Wire.Aborted None info
+            outcome ~granted:false None;
+            Hashtbl.remove t.gcache obj;
+            finish Wire.Aborted None info
           in
           (* A coordinator inside the majority partition can still hold
-             stale data — the residue of a persist that died between the
-             ensemble and data replaces on an earlier incarnation.  Trust
-             the version number, not the membership. *)
-          let must_fetch = (not in_s) || t.data_version < v in
+             stale data — the residue of a write it never received.
+             Trust the version number, not the membership. *)
+          let must_fetch =
+            match kind_tag with
+            | `Recover ->
+                t.amnesiac
+                || Replica.version (Shard_map.replica entry) < v
+                || Shard_map.data_version entry < v
+            | `Read | `Write ->
+                (not (Site_set.mem t.site s)) || Shard_map.data_version entry < v
+          in
+          let wave ~recipients ~version ~value ~rid =
+            commit_wave t ~recipients ~key:obj ~op_no:(o + 1) ~version
+              ~partition:recipients ~value ~rid;
+            note_commit t ~key:obj ~recipients ~op_no:(o + 1) ~version
+              ~partition:recipients
+          in
+          (* The operation's own apply (or log) may have fenced us
+             mid-flight; the reply must say so rather than ack. *)
           let guard_degraded () =
-            (* The operation's own apply (or log) may have fenced us
-               mid-flight; the reply must say so rather than ack. *)
             match t.degraded with
             | Some reason ->
                 pass_turn t passed;
@@ -1578,356 +1162,62 @@ let client_op t ~client ~req kind =
                 true
             | None -> false
           in
-          (match kind with
-          | `Read key ->
-              if must_fetch && not (fetch_data t ~sources:g.Decision.s ~want_version:v)
-              then abort "verified data fetch failed"
-              else begin
-                commit_wave t ~recipients:g.Decision.s ~op_no:(o + 1) ~version:v
-                  ~partition:g.Decision.s ~put:None ~rid:0;
-                note_commit t ~recipients:g.Decision.s ~op_no:(o + 1) ~version:v
-                  ~partition:g.Decision.s;
+          if must_fetch && not (fetch t ~key:obj ~entry ~sources:s ~want_version:v)
+          then abort "verified data fetch failed"
+          else (
+            match kind with
+            | `Read ->
+                wave ~recipients:s ~version:v ~value:None ~rid:0;
                 if not (guard_degraded ()) then begin
-                  let value = SMap.find_opt key t.store in
-                  log t
-                    (Persist.Log_outcome
-                       {
-                         seq = t.next_seq ();
-                         kind = `Read;
-                         granted = true;
-                         content = Some (blob t);
-                         rid = 0;
-                       });
-                  pass_turn t passed;
-                  maybe_release t;
-                  reply_client t ~client ~req Wire.Granted value ""
+                  let value = Shard_map.value entry in
+                  outcome ~granted:true (Some (oracle_content value));
+                  finish Wire.Granted (get t ~key value) ""
                 end
-              end
-          | `Write (key, value) ->
-              if must_fetch && not (fetch_data t ~sources:g.Decision.s ~want_version:v)
-              then abort "verified data fetch failed"
-              else if rid_seen t.rids rid then begin
+            | `Write _ when rid_seen t.rids rid ->
                 (* The retried request already committed (here or fetched
                    from the partition's table): acknowledge, do not
                    re-apply. *)
                 Metrics.incr t.ctrs.c_dedup_hits;
-                log t
-                  (Persist.Log_outcome
-                     {
-                       seq = t.next_seq ();
-                       kind = `Write;
-                       granted = true;
-                       content = None;
-                       rid;
-                     });
-                pass_turn t passed;
-                maybe_release t;
-                reply_client t ~client ~req Wire.Granted None
-                  "duplicate: write already committed"
-              end
-              else begin
+                outcome ~granted:true None;
+                finish Wire.Granted None "duplicate: write already committed"
+            | `Write value ->
                 (* The intent records the post-write content before the
                    first COMMIT can escape; a coordinator dead mid-wave
                    leaves intent-without-outcome = maybe-committed. *)
-                let new_blob =
-                  Persist.encode_entries (SMap.bindings (SMap.add key value t.store))
-                in
-                log t (Persist.Log_intent { seq = t.next_seq (); content = new_blob });
-                commit_wave t ~recipients:g.Decision.s ~op_no:(o + 1)
-                  ~version:(v + 1) ~partition:g.Decision.s ~put:(Some (key, value))
-                  ~rid;
-                note_commit t ~recipients:g.Decision.s ~op_no:(o + 1)
-                  ~version:(v + 1) ~partition:g.Decision.s;
+                let value = put t ~key ~value (Shard_map.value entry) in
+                let content = oracle_content (Some value) in
+                log t (Persist.Log_intent { seq = t.next_seq (); key = obj; content });
+                wave ~recipients:s ~version:(v + 1) ~value:(Some value) ~rid;
                 if not (guard_degraded ()) then begin
-                  log t
-                    (Persist.Log_outcome
-                       {
-                         seq = t.next_seq ();
-                         kind = `Write;
-                         granted = true;
-                         content = Some new_blob;
-                         rid;
-                       });
-                  pass_turn t passed;
-                  maybe_release t;
-                  reply_client t ~client ~req Wire.Granted None ""
+                  outcome ~granted:true (Some content);
+                  finish Wire.Granted None ""
                 end
-              end
-          | `Recover ->
-              let must_fetch =
-                t.amnesiac || Replica.version t.replica < v || t.data_version < v
-              in
-              if must_fetch && not (fetch_data t ~sources:g.Decision.s ~want_version:v)
-              then abort "verified data fetch failed"
-              else begin
-                let recipients = Site_set.add t.site g.Decision.s in
-                commit_wave t ~recipients ~op_no:(o + 1) ~version:v
-                  ~partition:recipients ~put:None ~rid:0;
+            | `Recover ->
+                (* The new partition takes this site back in; applying
+                   its own share of the wave ends its amnesia. *)
+                wave ~recipients:(Site_set.add t.site s) ~version:v ~value:None ~rid:0;
+                Hashtbl.remove t.gcache obj;
                 if not (guard_degraded ()) then begin
-                  log t
-                    (Persist.Log_outcome
-                       {
-                         seq = t.next_seq ();
-                         kind = `Recover;
-                         granted = true;
-                         content = None;
-                         rid = 0;
-                       });
-                  pass_turn t passed;
-                  maybe_release t;
-                  reply_client t ~client ~req Wire.Granted None ""
-                end
-              end)
+                  (* The commit is on disk; losing the marker's removal
+                     to a crash only costs another RECOVER. *)
+                  t.amnesiac <- false;
+                  (try Sys.remove t.amnesia_marker with Sys_error _ -> ());
+                  outcome ~granted:true None;
+                  finish Wire.Granted None ""
+                end)
     end
   end
 
-(* A keyed client operation over the sharded object space.  Same shape
-   as {!client_op} — turnstile ticket, anchor join or fresh acquisition,
-   cached-gather decide with one retry, verified fetch, commit wave —
-   but the quorum rounds are group rounds: acquiring the anchor locks
-   and gathers every key the current burst touches, and operations
-   behind it join with zero wire traffic. *)
-let client_kop t ~client ~req ~key kind =
-  let kind_tag = match kind with `Read -> `Read | `Write _ -> `Write in
-  let rid = match kind_tag with `Write -> make_rid ~client ~req | _ -> 0 in
-  match t.degraded with
-  | Some reason ->
-      let value =
-        match (kind_tag, t.kmap) with
-        | `Read, Some map -> Shard_map.value (Shard_map.find map key)
-        | _ -> None
-      in
-      reply_client t ~client ~req Wire.Degraded value ("degraded: " ^ reason)
-  | None ->
-  if t.amnesiac then
-    reply_client t ~client ~req Wire.Denied None
-      "amnesiac: shard storage lost, rejoin via a surviving partition"
-  else begin
-    let map = kmap_exn t in
-    t.op_counter <- t.op_counter + 1;
-    let op = (t.site lsl 24) lor (t.op_counter land 0xFFFFFF) in
-    let passed = ref false in
-    take_turn t;
-    Fun.protect ~finally:(fun () -> pass_turn t passed) @@ fun () ->
-    let entry = Shard_map.find map key in
-    Shard_map.pin entry;
-    Fun.protect
-      ~finally:(fun () ->
-        Shard_map.unpin entry;
-        refresh_kgauges t)
-    @@ fun () ->
-    let skew = 1.0 +. (0.13 *. float_of_int (t.site mod 7)) in
-    let acquire_fresh () =
-      let keys = build_group t key in
-      let rec acquire i =
-        match klock_round t op keys with
-        | `Granted -> true
-        | `Denied when i < t.config.lock_retries ->
-            let deadline =
-              t.config.clock ()
-              +. (t.config.lock_backoff *. float_of_int (i + 1) *. skew)
-            in
-            ignore
-              (Effect.perform
-                 (Await_frame
-                    {
-                      deadline;
-                      match_reply = (fun _ -> (None : unit option));
-                      wake_on_unlock = true;
-                    })
-                : unit option);
-            acquire (i + 1)
-        | `Denied -> false
-      in
-      if acquire 0 then begin
-        t.kanchor <- Some (op, keys);
-        t.anchor_since <- t.config.clock ();
-        t.reuse_count <- 0;
-        Hashtbl.reset t.kgcache;
-        (match t.kctrs with
-        | Some k -> Metrics.observe k.h_group (float_of_int (List.length keys))
-        | None -> ());
-        kgather t keys;
-        true
-      end
-      else false
-    in
-    let rotation_due () =
-      t.reuse_count >= t.config.max_reuse
-      || t.config.clock () -. t.anchor_since > 0.4 *. t.config.lock_lease
-    in
-    let locked =
-      match t.kanchor with
-      | Some (a, akeys)
-        when List.mem key akeys && (not (rotation_due ())) && try_klock t key a ->
-          (* Join the group anchor: the whole group's locks are already
-             held cluster-wide under [a] and the gather cache covers this
-             key — refreshing our own key's lease is the only touch. *)
-          t.reuse_count <- t.reuse_count + 1;
-          true
-      | Some _ ->
-          release_kanchor t;
-          acquire_fresh ()
-      | None -> acquire_fresh ()
-    in
-    if not locked then
-      reply_client t ~client ~req Wire.Denied None
-        "busy: rival operation holds the locks"
-    else begin
-      let decide () =
-        match Hashtbl.find_opt t.kgcache key with
-        | Some (reachable, states, fresh) ->
-            Metrics.incr t.ctrs.c_gather_reused;
-            (reachable, states, fresh, true)
-        | None ->
-            kgather t [ key ];
-            let reachable, states, fresh = Hashtbl.find t.kgcache key in
-            (reachable, states, fresh, false)
-      in
-      let rec evaluate_round retried =
-        let reachable, states, fresh, cached = decide () in
-        match Operation.evaluate t.ctx states ~fresh ~reachable () with
-        | Decision.Denied _ when cached && not retried ->
-            Hashtbl.remove t.kgcache key;
-            evaluate_round true
-        | decision -> (decision, states)
-      in
-      match evaluate_round false with
-      | Decision.Denied denial, _ ->
-          log t
-            (Persist.Log_koutcome
-               {
-                 seq = t.next_seq ();
-                 key;
-                 kind = kind_tag;
-                 granted = false;
-                 content = None;
-                 rid;
-               });
-          pass_turn t passed;
-          maybe_release_k t;
-          reply_client t ~client ~req Wire.Denied None (denial_text denial)
-      | Decision.Granted g, states ->
-          let m = g.Decision.m in
-          let o = Replica.op_no states.(m) and v = Replica.version states.(m) in
-          let in_s = Site_set.mem t.site g.Decision.s in
-          let abort info =
-            log t
-              (Persist.Log_koutcome
-                 {
-                   seq = t.next_seq ();
-                   key;
-                   kind = kind_tag;
-                   granted = false;
-                   content = None;
-                   rid;
-                 });
-            pass_turn t passed;
-            Hashtbl.remove t.kgcache key;
-            maybe_release_k t;
-            reply_client t ~client ~req Wire.Aborted None info
-          in
-          let must_fetch = (not in_s) || Shard_map.data_version entry < v in
-          let guard_degraded () =
-            match t.degraded with
-            | Some reason ->
-                pass_turn t passed;
-                release_kanchor t;
-                reply_client t ~client ~req Wire.Degraded None ("degraded: " ^ reason);
-                true
-            | None -> false
-          in
-          (match kind with
-          | `Read ->
-              if
-                must_fetch
-                && not (kfetch t ~key ~entry ~sources:g.Decision.s ~want_version:v)
-              then abort "verified data fetch failed"
-              else begin
-                kcommit_wave t ~recipients:g.Decision.s ~key ~op_no:(o + 1)
-                  ~version:v ~partition:g.Decision.s ~value:None ~rid:0;
-                note_kcommit t ~key ~recipients:g.Decision.s ~op_no:(o + 1)
-                  ~version:v ~partition:g.Decision.s;
-                if not (guard_degraded ()) then begin
-                  let value = Shard_map.value entry in
-                  log t
-                    (Persist.Log_koutcome
-                       {
-                         seq = t.next_seq ();
-                         key;
-                         kind = `Read;
-                         granted = true;
-                         content = Some (encode_kvalue value);
-                         rid = 0;
-                       });
-                  pass_turn t passed;
-                  maybe_release_k t;
-                  reply_client t ~client ~req Wire.Granted value ""
-                end
-              end
-          | `Write vb ->
-              if
-                must_fetch
-                && not (kfetch t ~key ~entry ~sources:g.Decision.s ~want_version:v)
-              then abort "verified data fetch failed"
-              else if rid_seen t.rids rid then begin
-                Metrics.incr t.ctrs.c_dedup_hits;
-                log t
-                  (Persist.Log_koutcome
-                     {
-                       seq = t.next_seq ();
-                       key;
-                       kind = `Write;
-                       granted = true;
-                       content = None;
-                       rid;
-                     });
-                pass_turn t passed;
-                maybe_release_k t;
-                reply_client t ~client ~req Wire.Granted None
-                  "duplicate: write already committed"
-              end
-              else begin
-                log t
-                  (Persist.Log_kintent
-                     {
-                       seq = t.next_seq ();
-                       key;
-                       content = encode_kvalue (Some vb);
-                     });
-                kcommit_wave t ~recipients:g.Decision.s ~key ~op_no:(o + 1)
-                  ~version:(v + 1) ~partition:g.Decision.s ~value:(Some vb) ~rid;
-                note_kcommit t ~key ~recipients:g.Decision.s ~op_no:(o + 1)
-                  ~version:(v + 1) ~partition:g.Decision.s;
-                if not (guard_degraded ()) then begin
-                  log t
-                    (Persist.Log_koutcome
-                       {
-                         seq = t.next_seq ();
-                         key;
-                         kind = `Write;
-                         granted = true;
-                         content = Some (encode_kvalue (Some vb));
-                         rid;
-                       });
-                  pass_turn t passed;
-                  maybe_release_k t;
-                  reply_client t ~client ~req Wire.Granted None ""
-                end
-              end)
-    end
-  end
-
-(* The in-flight key set feeds {!build_group}: a fresh group anchor
-   covers every key with an admitted operation. *)
-let with_inflight_key t key f =
-  let n = Option.value ~default:0 (Hashtbl.find_opt t.inflight_keys key) in
-  Hashtbl.replace t.inflight_keys key (n + 1);
+(* The in-flight object set feeds {!build_group}: a fresh group anchor
+   covers every object with an admitted operation. *)
+let with_inflight_object t obj f =
+  let n = Option.value ~default:0 (Hashtbl.find_opt t.inflight_objects obj) in
+  Hashtbl.replace t.inflight_objects obj (n + 1);
   Fun.protect
     ~finally:(fun () ->
-      match Hashtbl.find_opt t.inflight_keys key with
-      | Some 1 | None -> Hashtbl.remove t.inflight_keys key
-      | Some n -> Hashtbl.replace t.inflight_keys key (n - 1))
+      match Hashtbl.find_opt t.inflight_objects obj with
+      | Some 1 | None -> Hashtbl.remove t.inflight_objects obj
+      | Some n -> Hashtbl.replace t.inflight_objects obj (n - 1))
     f
 
 (* Coordination time as seen by this node, crash-exits included. *)
@@ -1976,15 +1266,14 @@ let spawn_op t (env : Wire.envelope) =
             | _ -> None);
       }
   in
+  let op ~req ~key kind =
+    run ~req (fun () ->
+        with_inflight_object t (object_of t key) (fun () ->
+            client_op t ~client ~req ~key kind))
+  in
   match env.Wire.payload with
-  | Wire.Client_get { req; key } when sharded t ->
-      run ~req (fun () ->
-          with_inflight_key t key (fun () ->
-              client_kop t ~client ~req ~key `Read))
-  | Wire.Client_put { req; key; value } when sharded t ->
-      run ~req (fun () ->
-          with_inflight_key t key (fun () ->
-              client_kop t ~client ~req ~key (`Write value)))
+  | Wire.Client_get { req; key } -> op ~req ~key `Read
+  | Wire.Client_put { req; key; value } -> op ~req ~key (`Write value)
   | Wire.Client_recover { req } when sharded t ->
       (* Per-key membership never shrinks below the universe here: a
          rebooted site either kept its shards (it just rejoins) or lost
@@ -1992,12 +1281,7 @@ let spawn_op t (env : Wire.envelope) =
       run ~req (fun () ->
           reply_client t ~client ~req Wire.Denied None
             "recover: unsupported for the sharded object space")
-  | Wire.Client_get { req; key } ->
-      run ~req (fun () -> client_op t ~client ~req (`Read key))
-  | Wire.Client_put { req; key; value } ->
-      run ~req (fun () -> client_op t ~client ~req (`Write (key, value)))
-  | Wire.Client_recover { req } ->
-      run ~req (fun () -> client_op t ~client ~req `Recover)
+  | Wire.Client_recover { req } -> op ~req ~key:file_object `Recover
   | _ -> serve_protocol t env
 
 (* Resume every fiber whose ticket the turnstile now serves.  Each resume
@@ -2049,7 +1333,7 @@ let rec expire_due t now =
       expire_due t now
   | None -> ()
 
-(* A rival's Unlock: end every lock-backoff sleep now. *)
+(* A rival's unlock: end every lock-backoff sleep now. *)
 let wake_unlockers t =
   let wake, keep = List.partition (fun (FW w) -> w.wake_on_unlock) t.fwaiters in
   t.fwaiters <- keep;
@@ -2068,19 +1352,16 @@ let next_deadline t =
    goes to a parked fiber, a new operation slot, or the peer protocol. *)
 let handle_frame t (env : Wire.envelope) =
   (match env.Wire.payload with
-  | Wire.Commit { op_no; version; partition; put; rid } ->
-      Queue.add (op_no, version, partition, put, rid) t.commit_batch
   | Wire.KCommit { key; op_no; version; partition; value; rid } ->
-      (* Invalidate the group gather cache at enqueue time — the same
-         instant the legacy path invalidates at flush, since fibers only
-         resume after the flush.  Self-applies go through {!flush_kcommits}
-         directly and must NOT reset the cache: the anchor's joined
-         operations decide against it. *)
-      Hashtbl.reset t.kgcache;
-      Queue.add (key, op_no, version, partition, value, rid) t.kcommit_batch
+      (* Any inbound commit means a rival coordinated while we were
+         unlocked, so the anchor's cached gather is stale: drop it at
+         enqueue time — fibers only resume after the flush.  Self-applies
+         go through {!flush_commits} directly and must NOT reset the
+         cache: the anchor's joined operations decide against it. *)
+      Hashtbl.reset t.gcache;
+      Queue.add (key, op_no, version, partition, value, rid) t.commit_batch
   | _ ->
       flush_commits t;
-      flush_kcommits t;
       if try_deliver t env then run_turns t
       else begin
         match env.Wire.payload with
@@ -2102,7 +1383,6 @@ let admit_pending t =
     t.inflight < t.config.pipeline && not (Queue.is_empty t.pending_clients)
   do
     flush_commits t;
-    flush_kcommits t;
     spawn_op t (Queue.pop t.pending_clients);
     run_turns t
   done
@@ -2130,7 +1410,6 @@ let serve t =
        in
        drain ();
        flush_commits t;
-       flush_kcommits t;
        admit_pending t;
        (* Everything this burst produced — replies, commit waves, protocol
           frames — leaves in one write before the loop sleeps, so a fiber
@@ -2151,7 +1430,5 @@ let serve t =
    with Dead | Killed | Unix.Unix_error _ -> ());
   (* Volatile state dies with the thread; only the files survive. *)
   (try Persist.close_log t.oplog with Sys_error _ -> ());
-  (match t.kstore with
-  | Some store -> ( try Shard_store.close store with Sys_error _ -> ())
-  | None -> ());
+  (try Shard_store.close t.store with Sys_error _ -> ());
   try Unix.close (Wire.fd t.conn) with Unix.Unix_error _ -> ()

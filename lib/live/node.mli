@@ -1,7 +1,14 @@
 (** One live site: a server thread behind a real socket, holding the
-    (o, v, P) ensemble, the key-value data, and the volatile lock, all
-    persisted through {!Persist} so a kill-and-restart recovers from
-    disk.
+    voted objects — each an (o, v, P) ensemble, a data version and a
+    value — and their volatile locks.  Objects persist in the site's
+    {!Dynvote_shard.Shard_store} logs and every event in its {!Persist}
+    oplog, so a kill-and-restart recovers from disk.
+
+    A client key maps to one object: with [shards > 0] each key is its
+    own object; with [shards = 0] every key maps to one object, the
+    paper's replicated file, whose value is the file's entries
+    ({!Persist.encode_entries}).  Every protocol step is the same code
+    in both modes.
 
     The node serves the peer protocol (state / lock / data / commit) and
     coordinates client operations itself, running the paper's protocol as
@@ -22,9 +29,9 @@ type config = {
   lock_retries : int;  (** lock-round attempts before reporting busy *)
   lock_backoff : float;  (** seconds between lock-round attempts *)
   durable : bool;
-      (** fsync ensemble and data on every commit ([true], the paper's
-          stable-storage requirement); [false] keeps the atomic replace
-          but skips the fsyncs — for throughput experiments only *)
+      (** fsync the shard logs after every batch of commits ([true], the
+          paper's stable-storage requirement); [false] skips the fsyncs —
+          for throughput experiments only *)
   clock : unit -> float;
       (** every deadline, lease and backoff reads this clock; defaults to
           the monotonic {!Dynvote_obs.Clock.now} so wall-clock steps
@@ -33,7 +40,7 @@ type config = {
       (** client operations admitted concurrently (as effect-suspended
           fibers; a ticket turnstile keeps their protocol sections in
           admission order).  [1] — the default — is the fully sequential
-          coordinator, frame-for-frame identical to earlier behaviour *)
+          coordinator *)
   max_reuse : int;
       (** operations that may join an anchored lock round and decide
           against its cached gather before a fresh round is forced (the
@@ -43,10 +50,10 @@ type config = {
   shards : int;
       (** [> 0] turns on the sharded object space: every key is an
           independently-voted (o, v, P) object, persisted across this
-          many per-site append logs, coordinated by group-quorum rounds
-          that cover every key of a scheduler burst in one wire
-          exchange.  [0] — the default — is the classic single-object
-          engine, byte-identical on the wire *)
+          many per-site append logs.  [0] — the default — maps every key
+          to {!file_object}, the paper's single replicated file, kept in
+          one log.  Either way, group-quorum rounds cover every object a
+          scheduler burst touches in one wire exchange *)
   resident : int;
       (** bound on keys materialized in volatile memory at once (the
           shard map's LRU capacity); evicted keys re-materialize from
@@ -56,7 +63,7 @@ type config = {
 val default_config : config
 (** 0.2 s gather rounds, 1 retry, backoff 2.0, 2 s lock lease, durable,
     monotonic clock, no pipelining ([pipeline = 1], [max_reuse = 0]),
-    unsharded ([shards = 0], [resident = 4096]). *)
+    one replicated file ([shards = 0], [resident = 4096]). *)
 
 type t
 
@@ -79,12 +86,12 @@ val boot :
   was_restarted:bool ->
   unit ->
   t
-(** Load the ensemble and data from [dir] (a corrupt or missing record —
-    or an ensemble/data version mismatch, the residue of a persist that
-    died between the two replaces — leaves the node {e amnesiac}: silent
-    to state requests, refusing to coordinate until a RECOVER succeeds),
-    connect to the switchboard on [port], and register.  A mid-log
-    corrupt oplog — checksum-failing records with intact ones after them,
+(** Load the objects from the shard logs under [dir] (a restart whose
+    shard logs are gone leaves the node {e amnesiac}: abstaining from
+    state requests and refusing to coordinate until a RECOVER of the
+    file succeeds — in the sharded space, for good), connect to the
+    switchboard on [port], and register.  A mid-log corrupt oplog or
+    shard log — checksum-failing records with intact ones after them,
     damage no crash explains — boots the node straight into degraded
     mode.  [vfs] (default {!Dynvote.Vfs.real}) carries every
     stable-storage byte, so a fault-injecting filesystem can strike any
@@ -96,11 +103,13 @@ val boot :
 val serve : t -> unit
 (** The node thread body: handle frames until the connection dies. *)
 
-val encode_kvalue : string option -> string
-(** The per-key oracle content encoding of the sharded object space:
-    [""] for a never-written key, ["=" ^ v] for value [v] — injective,
-    so the audit's content-fork scan never confuses "no value" with an
-    empty write. *)
+val file_object : string
+(** The one object every key maps to when [shards = 0]. *)
+
+val oracle_content : string option -> string
+(** The per-object oracle content encoding: [""] for a never-written
+    object, ["=" ^ v] for value [v] — injective, so the audit's
+    content-fork scan never confuses "no value" with an empty write. *)
 
 val site : t -> Site_set.site
 val is_amnesiac : t -> bool

@@ -1,9 +1,9 @@
-(* Per-site stable storage: ensemble (Codec record), data blob, and the
-   append-only operation log.  All three share the codec's durability
-   discipline — the data blob is replaced atomically with fsync, and log
-   records are framed and checksummed so a torn tail is detected and
-   dropped rather than trusted.  Every byte flows through a {!Vfs}, so
-   the fault-injection layer can strike any single storage operation. *)
+(* Per-site audit journal: the append-only operation log, plus the
+   canonical encoding of the replicated file's entries.  Log records are
+   framed and checksummed so a torn tail is detected and dropped rather
+   than trusted.  Every byte flows through a {!Vfs}, so the
+   fault-injection layer can strike any single storage operation.  The
+   objects' own state lives in {!Dynvote_shard.Shard_store}. *)
 
 let site_dir ~dir site = Filename.concat dir (Printf.sprintf "site-%d" site)
 
@@ -13,20 +13,18 @@ let ensure_site_dir ~dir site =
   (try Unix.mkdir path 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   path
 
-let ensemble_path ~dir site = Filename.concat (site_dir ~dir site) "ensemble.dvt"
-let data_path ~dir site = Filename.concat (site_dir ~dir site) "data.dvl"
 let oplog_path ~dir site = Filename.concat (site_dir ~dir site) "oplog.dvl"
+let amnesia_path ~dir site = Filename.concat (site_dir ~dir site) "amnesiac"
 
-(* --- data blobs ---------------------------------------------------- *)
-
-let data_magic = "DVD1"
+(* --- the file's entries blob ---------------------------------------- *)
 
 let add_u8 b v = Buffer.add_char b (Char.chr (v land 0xff))
 let add_u16 b v = Buffer.add_uint16_le b v
 let add_u32 b v = Buffer.add_int32_le b (Int32.of_int v)
 let add_u64 b v = Buffer.add_int64_le b (Int64.of_int v)
 
-let add_entries b entries =
+let encode_entries entries =
+  let b = Buffer.create 256 in
   let entries = List.sort (fun (a, _) (c, _) -> String.compare a c) entries in
   add_u32 b (List.length entries);
   List.iter
@@ -36,35 +34,8 @@ let add_entries b entries =
       Buffer.add_string b k;
       add_u32 b (String.length v);
       Buffer.add_string b v)
-    entries
-
-let encode_entries entries =
-  let b = Buffer.create 256 in
-  add_entries b entries;
+    entries;
   Buffer.contents b
-
-(* The applied-request table rides inside the blob: a site's dedup
-   memory must be exactly as durable as the data it guards, and a
-   wholesale data fetch must install both or neither. *)
-let add_rids b rids =
-  let rids = List.sort compare rids in
-  add_u32 b (List.length rids);
-  List.iter
-    (fun (client, req) ->
-      add_u32 b client;
-      add_u64 b req)
-    rids
-
-let save_data ?vfs ?(fsync = true) ?(rids = []) ~path ~version entries =
-  let b = Buffer.create 256 in
-  Buffer.add_string b data_magic;
-  add_u32 b 0 (* checksum slot *);
-  add_u64 b version;
-  add_entries b entries;
-  add_rids b rids;
-  let body = Buffer.to_bytes b in
-  Bytes.set_int32_le body 4 (Codec.checksum body ~off:8 ~len:(Bytes.length body - 8));
-  Codec.write_file_atomic ?vfs ~fsync ~path (Bytes.to_string body)
 
 exception Bad of string
 
@@ -104,43 +75,19 @@ let str c len =
   c.pos <- c.pos + len;
   s
 
-let read_entries c =
-  let n = u32 c in
-  if n > Bytes.length c.data then raise (Bad "entry count out of range");
-  List.init n (fun _ ->
-      let k = str c (u16 c) in
-      (k, str c (u32 c)))
-
-(* Blobs written before the request table existed simply end after the
-   entries; they decode with an empty table. *)
-let read_rids c =
-  if c.pos = Bytes.length c.data then []
-  else begin
+let decode_entries blob =
+  let c = { data = Bytes.of_string blob; pos = 0 } in
+  try
     let n = u32 c in
-    if n > Bytes.length c.data then raise (Bad "rid count out of range");
-    List.init n (fun _ ->
-        let client = u32 c in
-        (client, u64 c))
-  end
-
-let load_data_result ?vfs ~path () =
-  match Codec.read_file_result ?vfs ~path () with
-  | Error reason -> Error reason
-  | Ok data -> (
-      try
-        let body = Bytes.of_string data in
-        if Bytes.length body < 16 then raise (Bad "data file too short");
-        if Bytes.sub_string body 0 4 <> data_magic then raise (Bad "bad magic");
-        let stored = Bytes.get_int32_le body 4 in
-        let computed = Codec.checksum body ~off:8 ~len:(Bytes.length body - 8) in
-        if not (Int32.equal stored computed) then raise (Bad "checksum mismatch");
-        let c = { data = body; pos = 8 } in
-        let version = u64 c in
-        let entries = read_entries c in
-        let rids = read_rids c in
-        if c.pos <> Bytes.length body then raise (Bad "trailing garbage");
-        Ok (version, entries, rids)
-      with Bad reason -> Error reason)
+    if n > Bytes.length c.data then raise (Bad "entry count out of range");
+    let entries =
+      List.init n (fun _ ->
+          let k = str c (u16 c) in
+          (k, str c (u32 c)))
+    in
+    if c.pos <> Bytes.length c.data then raise (Bad "trailing garbage");
+    entries
+  with Bad reason -> invalid_arg ("Persist.decode_entries: " ^ reason)
 
 (* --- operation log -------------------------------------------------- *)
 
@@ -150,29 +97,14 @@ let max_record = 16 * 1024 * 1024
 type record =
   | Log_commit of {
       seq : int;
-      op_no : int;
-      version : int;
-      partition : Site_set.t;
-      rid : int;
-    }
-  | Log_intent of { seq : int; content : string }
-  | Log_outcome of {
-      seq : int;
-      kind : [ `Read | `Write | `Recover ];
-      granted : bool;
-      content : string option;
-      rid : int;
-    }
-  | Log_kcommit of {
-      seq : int;
       key : string;
       op_no : int;
       version : int;
       partition : Site_set.t;
       rid : int;
     }
-  | Log_kintent of { seq : int; key : string; content : string }
-  | Log_koutcome of {
+  | Log_intent of { seq : int; key : string; content : string }
+  | Log_outcome of {
       seq : int;
       key : string;
       kind : [ `Read | `Write | `Recover ];
@@ -182,13 +114,7 @@ type record =
     }
 
 let seq_of = function
-  | Log_commit { seq; _ }
-  | Log_intent { seq; _ }
-  | Log_outcome { seq; _ }
-  | Log_kcommit { seq; _ }
-  | Log_kintent { seq; _ }
-  | Log_koutcome { seq; _ } ->
-      seq
+  | Log_commit { seq; _ } | Log_intent { seq; _ } | Log_outcome { seq; _ } -> seq
 
 let kind_code = function `Read -> 0 | `Write -> 1 | `Recover -> 2
 
@@ -202,31 +128,8 @@ let encode_record record =
   Buffer.add_string b log_magic;
   add_u32 b 0 (* checksum slot *);
   (match record with
-  | Log_commit { seq; op_no; version; partition; rid } ->
-      add_u8 b 0;
-      add_u64 b seq;
-      add_u64 b op_no;
-      add_u64 b version;
-      add_u64 b (Site_set.to_int partition);
-      add_u64 b rid
-  | Log_intent { seq; content } ->
-      add_u8 b 1;
-      add_u64 b seq;
-      add_u32 b (String.length content);
-      Buffer.add_string b content
-  | Log_outcome { seq; kind; granted; content; rid } ->
-      add_u8 b 2;
-      add_u64 b seq;
-      add_u8 b (kind_code kind);
-      add_u8 b (if granted then 1 else 0);
-      (match content with
-      | None -> add_u8 b 0
-      | Some content ->
-          add_u8 b 1;
-          add_u32 b (String.length content);
-          Buffer.add_string b content);
-      add_u64 b rid
-  | Log_kcommit { seq; key; op_no; version; partition; rid } ->
+  (* Tags 0-2 belonged to a retired record family and are never reused. *)
+  | Log_commit { seq; key; op_no; version; partition; rid } ->
       add_u8 b 3;
       add_u64 b seq;
       add_log_key b key;
@@ -234,13 +137,13 @@ let encode_record record =
       add_u64 b version;
       add_u64 b (Site_set.to_int partition);
       add_u64 b rid
-  | Log_kintent { seq; key; content } ->
+  | Log_intent { seq; key; content } ->
       add_u8 b 4;
       add_u64 b seq;
       add_log_key b key;
       add_u32 b (String.length content);
       Buffer.add_string b content
-  | Log_koutcome { seq; key; kind; granted; content; rid } ->
+  | Log_outcome { seq; key; kind; granted; content; rid } ->
       add_u8 b 5;
       add_u64 b seq;
       add_log_key b key;
@@ -281,11 +184,6 @@ let append log record =
 let log_path log = log.path
 let close_log log = log.file.Vfs.close ()
 
-(* A trailing rid field is optional on commit and outcome records:
-   records written before it existed decode with rid 0 (no request
-   id). *)
-let optional_rid c = if c.pos = Bytes.length c.data then 0 else u64 c
-
 let decode_record body =
   let c = { data = body; pos = 0 } in
   if str c 4 <> log_magic then raise (Bad "bad magic");
@@ -295,34 +193,6 @@ let decode_record body =
   if not (Int32.equal stored computed) then raise (Bad "checksum mismatch");
   let record =
     match u8 c with
-    | 0 ->
-        let seq = u64 c in
-        let op_no = u64 c in
-        let version = u64 c in
-        let mask = u64 c in
-        let rid = optional_rid c in
-        Log_commit { seq; op_no; version; partition = Site_set.of_int_unsafe mask; rid }
-    | 1 ->
-        let seq = u64 c in
-        Log_intent { seq; content = str c (u32 c) }
-    | 2 ->
-        let seq = u64 c in
-        let kind =
-          match u8 c with
-          | 0 -> `Read
-          | 1 -> `Write
-          | 2 -> `Recover
-          | _ -> raise (Bad "bad kind")
-        in
-        let granted = match u8 c with 0 -> false | 1 -> true | _ -> raise (Bad "bad flag") in
-        let content =
-          match u8 c with
-          | 0 -> None
-          | 1 -> Some (str c (u32 c))
-          | _ -> raise (Bad "bad content flag")
-        in
-        let rid = optional_rid c in
-        Log_outcome { seq; kind; granted; content; rid }
     | 3 ->
         let seq = u64 c in
         let key = str c (u16 c) in
@@ -330,12 +200,12 @@ let decode_record body =
         let version = u64 c in
         let mask = u64 c in
         let rid = u64 c in
-        Log_kcommit
+        Log_commit
           { seq; key; op_no; version; partition = Site_set.of_int_unsafe mask; rid }
     | 4 ->
         let seq = u64 c in
         let key = str c (u16 c) in
-        Log_kintent { seq; key; content = str c (u32 c) }
+        Log_intent { seq; key; content = str c (u32 c) }
     | 5 ->
         let seq = u64 c in
         let key = str c (u16 c) in
@@ -354,7 +224,7 @@ let decode_record body =
           | _ -> raise (Bad "bad content flag")
         in
         let rid = u64 c in
-        Log_koutcome { seq; key; kind; granted; content; rid }
+        Log_outcome { seq; key; kind; granted; content; rid }
     | _ -> raise (Bad "unknown record tag")
   in
   if c.pos <> Bytes.length body then raise (Bad "trailing garbage");

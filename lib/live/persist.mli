@@ -1,100 +1,68 @@
-(** Per-site stable storage of the live service.
+(** Per-site audit journal of the live service, and the canonical
+    encoding of the replicated file's entries.
 
-    Each node owns one directory holding three artifacts:
+    Each node's directory holds:
 
-    - [ensemble.dvt] — the (o, v, P) consistency ensemble, in the
-      {!Dynvote.Codec} record format, replaced durably on every commit;
-    - [data.dvl] — the key-value store (version number + entries + the
-      applied-request table used for exactly-once retries), replaced
-      durably on every commit through the same write-fsync-rename
-      discipline;
+    - [shards/] — the voted objects' (o, v, P) ensembles, data versions
+      and values, in {!Dynvote_shard.Shard_store}'s append-only shard
+      logs;
     - [oplog.dvl] — an append-only log of every commit this node applied
       and every client-visible outcome it coordinated, framed and
       checksummed per record; the merged logs of all nodes replay through
-      the chaos {!Dynvote_chaos.Oracle}.
+      the chaos {!Dynvote_chaos.Oracle}, one oracle per object;
+    - [amnesiac] — present only while the node has lost its shard logs
+      and not yet recovered.
 
-    A node killed at any instant restarts from these three files.  Every
-    byte flows through a {!Dynvote.Vfs} ([Vfs.real] by default), so the
+    A node killed at any instant restarts from these files.  Every byte
+    flows through a {!Dynvote.Vfs} ([Vfs.real] by default), so the
     fault-injection filesystem can strike any single operation. *)
 
 val site_dir : dir:string -> Site_set.site -> string
 val ensure_site_dir : dir:string -> Site_set.site -> string
-val ensemble_path : dir:string -> Site_set.site -> string
-val data_path : dir:string -> Site_set.site -> string
 val oplog_path : dir:string -> Site_set.site -> string
 
-(** {2 Data blobs} *)
+val amnesia_path : dir:string -> Site_set.site -> string
+(** The marker that keeps a node amnesiac across restarts until a
+    RECOVER succeeds. *)
+
+(** {2 The file's entries} *)
 
 val encode_entries : (string * string) list -> string
-(** Canonical (key-sorted, length-framed) serialization of the store
-    entries — the "content" string the safety oracle compares; injective,
-    so distinct stores never collide. *)
+(** Canonical (key-sorted, length-framed) serialization of a key-value
+    store — the value of the replicated file when every client key maps
+    to one object; injective, so distinct stores never collide. *)
 
-val save_data :
-  ?vfs:Vfs.t ->
-  ?fsync:bool ->
-  ?rids:(int * int) list ->
-  path:string ->
-  version:int ->
-  (string * string) list ->
-  unit
-(** Durable atomic replace ({!Dynvote.Codec.write_file_atomic}); [?fsync]
-    is forwarded there.  [rids] is the applied-request table — (client,
-    highest applied request) pairs — stored inside the blob so dedup
-    memory is exactly as durable as the data it guards. *)
-
-val load_data_result :
-  ?vfs:Vfs.t ->
-  path:string ->
-  unit ->
-  (int * (string * string) list * (int * int) list, string) result
-(** Total load: corruption and I/O failures as [Error].  Blobs written
-    before the request table existed load with an empty table. *)
+val decode_entries : string -> (string * string) list
+(** Inverse of {!encode_entries}.
+    @raise Invalid_argument on bytes {!encode_entries} cannot produce. *)
 
 (** {2 Operation log} *)
 
 type record =
   | Log_commit of {
       seq : int;
+      key : string;  (** the object the ensemble belongs to *)
       op_no : int;
       version : int;
       partition : Site_set.t;
       rid : int;  (** request id the commit applied, 0 if none *)
     }
-      (** this node applied a commit (site is implied by whose log it is) *)
-  | Log_intent of { seq : int; content : string }
+      (** this node applied a commit (site is implied by whose log it
+          is).  The value bytes live in the shard logs — this record is
+          the audit journal's view of the consistency event *)
+  | Log_intent of { seq : int; key : string; content : string }
       (** a write coordinator is about to distribute COMMITs installing
           [content]; an intent with no later outcome marks a coordinator
           killed mid-wave *)
   | Log_outcome of {
       seq : int;
+      key : string;
       kind : [ `Read | `Write | `Recover ];
       granted : bool;
       content : string option;
-          (** the store serialization the operation served (granted reads)
-              or installed (granted writes) *)
+          (** the object content the operation served (granted reads) or
+              installed (granted writes) *)
       rid : int;  (** request id the outcome answered, 0 if none *)
-    }
-  | Log_kcommit of {
-      seq : int;
-      key : string;
-      op_no : int;
-      version : int;
-      partition : Site_set.t;
-      rid : int;
-    }
-      (** per-key commit of the sharded object space; the key names the
-          independently-voted object the ensemble belongs to.  The value
-          bytes live in the shard logs — this record is the audit
-          journal's view of the consistency event *)
-  | Log_kintent of { seq : int; key : string; content : string }
-  | Log_koutcome of {
-      seq : int;
-      key : string;
-      kind : [ `Read | `Write | `Recover ];
-      granted : bool;
-      content : string option;
-      rid : int;
     }
 
 val seq_of : record -> int

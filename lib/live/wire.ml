@@ -6,9 +6,10 @@
 
    The checksum covers everything after itself.  Integers are
    little-endian fixed width; keys carry u16 lengths, values u32.  The
-   consistency ensemble inside State_reply reuses the Codec stable-storage
+   consistency ensembles inside KState_reply reuse the Codec stable-storage
    encoding byte for byte, so the protocol state that crosses the wire is
-   the same record that sits on disk. *)
+   the same record that sits on disk.  Tags 3-5 and 7-10 belonged to a
+   retired frame family and are never reused. *)
 
 let magic = "DVW1"
 let max_frame = 16 * 1024 * 1024
@@ -22,25 +23,7 @@ type payload =
   | Hello_site of { site : Site_set.site }
   | Hello_client
   | Welcome of { id : int }
-  | State_request of { round : int }
-  | State_reply of { round : int; fresh : bool; replica : Replica.t }
-  | Lock_request of { op : int }
   | Lock_reply of { op : int; granted : bool }
-  | Unlock of { op : int }
-  | Data_request of { round : int }
-  | Data_reply of {
-      round : int;
-      version : int;
-      entries : (string * string) list;
-      rids : (int * int) list;
-    }
-  | Commit of {
-      op_no : int;
-      version : int;
-      partition : Site_set.t;
-      put : (string * string) option;
-      rid : int;
-    }
   | Client_put of { req : int; key : string; value : string }
   | Client_get of { req : int; key : string }
   | Client_recover of { req : int }
@@ -49,9 +32,9 @@ type payload =
       (* a fenced or amnesiac site answering a state or lock gather:
          alive but taking no part, so the coordinator can stop waiting
          without counting it as a vote (for locks, [round] is the op) *)
-  (* Keyed (sharded object space) frames.  One group-quorum round names
-     every key it covers, so a single wire exchange locks, gathers and
-     commits an entire scheduler burst of per-key operations. *)
+  (* Object frames.  One group-quorum round names every object it
+     covers, so a single wire exchange locks, gathers and commits an
+     entire scheduler burst of operations. *)
   | KLock_request of { op : int; keys : string list }
   | KUnlock of { op : int; keys : string list }
   | KState_request of { round : int; keys : string list }
@@ -83,14 +66,7 @@ let kind_name = function
   | Hello_site _ -> "hello-site"
   | Hello_client -> "hello-client"
   | Welcome _ -> "welcome"
-  | State_request _ -> "state-request"
-  | State_reply _ -> "state-reply"
-  | Lock_request _ -> "lock-request"
   | Lock_reply _ -> "lock-reply"
-  | Unlock _ -> "unlock"
-  | Data_request _ -> "data-request"
-  | Data_reply _ -> "data-reply"
-  | Commit _ -> "commit"
   | Client_put _ -> "client-put"
   | Client_get _ -> "client-get"
   | Client_recover _ -> "client-recover"
@@ -133,14 +109,7 @@ let tag_of = function
   | Hello_site _ -> 0
   | Hello_client -> 1
   | Welcome _ -> 2
-  | State_request _ -> 3
-  | State_reply _ -> 4
-  | Lock_request _ -> 5
   | Lock_reply _ -> 6
-  | Unlock _ -> 7
-  | Data_request _ -> 8
-  | Data_reply _ -> 9
-  | Commit _ -> 10
   | Client_put _ -> 11
   | Client_get _ -> 12
   | Client_recover _ -> 13
@@ -162,43 +131,9 @@ let encode_payload b = function
   | Hello_site { site } -> add_u16 b site
   | Hello_client -> ()
   | Welcome { id } -> add_u16 b id
-  | State_request { round } -> add_u32 b round
-  | State_reply { round; fresh; replica } ->
-      add_u32 b round;
-      add_bool b fresh;
-      Buffer.add_string b (Codec.encode_replica replica)
-  | Lock_request { op } -> add_u32 b op
   | Lock_reply { op; granted } ->
       add_u32 b op;
       add_bool b granted
-  | Unlock { op } -> add_u32 b op
-  | Data_request { round } -> add_u32 b round
-  | Data_reply { round; version; entries; rids } ->
-      add_u32 b round;
-      add_u64 b version;
-      add_u32 b (List.length entries);
-      List.iter
-        (fun (k, v) ->
-          add_key b k;
-          add_value b v)
-        entries;
-      add_u32 b (List.length rids);
-      List.iter
-        (fun (client, req) ->
-          add_u32 b client;
-          add_u64 b req)
-        rids
-  | Commit { op_no; version; partition; put; rid } ->
-      add_u64 b op_no;
-      add_u64 b version;
-      add_u64 b (Site_set.to_int partition);
-      (match put with
-      | None -> add_u8 b 0
-      | Some (k, v) ->
-          add_u8 b 1;
-          add_key b k;
-          add_value b v);
-      add_u64 b rid
   | Client_put { req; key; value } ->
       add_u32 b req;
       add_key b key;
@@ -358,39 +293,9 @@ let decode_payload c tag =
   | 0 -> Hello_site { site = u16 c }
   | 1 -> Hello_client
   | 2 -> Welcome { id = u16 c }
-  | 3 -> State_request { round = u32 c }
-  | 4 ->
-      let round = u32 c in
-      let fresh = bool_field c in
-      State_reply { round; fresh; replica = replica_field c }
-  | 5 -> Lock_request { op = u32 c }
   | 6 ->
       let op = u32 c in
       Lock_reply { op; granted = bool_field c }
-  | 7 -> Unlock { op = u32 c }
-  | 8 -> Data_request { round = u32 c }
-  | 9 ->
-      let round = u32 c in
-      let version = u64 c in
-      let n = u32 c in
-      if n > max_frame then raise (Bad "entry count out of range");
-      let entries = List.init n (fun _ -> let k = key c in (k, value c)) in
-      let nr = u32 c in
-      if nr > max_frame then raise (Bad "rid count out of range");
-      let rids = List.init nr (fun _ -> let client = u32 c in (client, u64 c)) in
-      Data_reply { round; version; entries; rids }
-  | 10 ->
-      let op_no = u64 c in
-      let version = u64 c in
-      let partition = site_set_field c in
-      let put =
-        match u8 c with
-        | 0 -> None
-        | 1 -> let k = key c in Some (k, value c)
-        | _ -> raise (Bad "bad put flag")
-      in
-      let rid = u64 c in
-      Commit { op_no; version; partition; put; rid }
   | 11 ->
       let req = u32 c in
       let k = key c in

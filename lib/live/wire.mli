@@ -7,7 +7,8 @@
     or bit-flipped frame is detected rather than trusted — {!decode} is
     total and returns the corruption reason.  Replica ensembles travel in
     their {!Dynvote.Codec} stable-storage encoding, so the bytes a
-    {!State_reply} carries are exactly the bytes a node persists. *)
+    [KState_reply] carries are exactly the bytes of a node's ensemble
+    record. *)
 
 (** {2 Endpoints} *)
 
@@ -35,33 +36,8 @@ type payload =
       (** a node registering its socket with the switchboard *)
   | Hello_client  (** a client asking the switchboard for an endpoint id *)
   | Welcome of { id : int }
-  | State_request of { round : int }
-  | State_reply of { round : int; fresh : bool; replica : Replica.t }
-      (** [fresh] is the replier's own claim: continuously up since the
-          last commit it applied (gates topological vote claiming) *)
-  | Lock_request of { op : int }
   | Lock_reply of { op : int; granted : bool }
-  | Unlock of { op : int }
-  | Data_request of { round : int }
-  | Data_reply of {
-      round : int;
-      version : int;
-      entries : (string * string) list;
-      rids : (int * int) list;
-          (** the applied-request table travels with the data it guards *)
-    }
-      (** full store snapshot, for recovery / stale-coordinator fetch *)
-  | Commit of {
-      op_no : int;
-      version : int;
-      partition : Site_set.t;
-      put : (string * string) option;
-          (** a write's key/value rides inside COMMIT so data and ensemble
-              install atomically *)
-      rid : int;
-          (** request id the commit applies (0 = none), recorded in every
-              participant's applied-request table for retry dedup *)
-    }
+      (** the answer to a [KLock_request]: the whole group or nothing *)
   | Client_put of { req : int; key : string; value : string }
   | Client_get of { req : int; key : string }
   | Client_recover of { req : int }
@@ -74,20 +50,22 @@ type payload =
           if it were silent.  For lock gathers, [round] carries the op
           number. *)
   | KLock_request of { op : int; keys : string list }
-      (** Keyed (sharded object space) frames, this tag and below: each
-          key is an independently-voted object; a group-quorum round
-          names every key it covers so one wire exchange locks, gathers
-          and decides a whole scheduler burst of per-key operations.
-          Single-key deployments never emit these tags, keeping their
-          byte streams identical to the unsharded protocol.
+      (** Object frames, this tag and below.  Each key names an
+          independently-voted (o, v, P) object — with [shards = 0] the
+          node maps every client key to one object, the replicated file,
+          so its frames name that object alone.  A group-quorum round
+          names every object it covers so one wire exchange locks,
+          gathers and decides a whole scheduler burst of operations.
 
           A [KLock_request] is one lock round for the whole group,
-          answered with the existing [Lock_reply] / [Abstain]. *)
+          answered with [Lock_reply] / [Abstain]. *)
   | KUnlock of { op : int; keys : string list }
   | KState_request of { round : int; keys : string list }
   | KState_reply of {
       round : int;
       fresh : bool;
+          (** the replier's own claim: continuously up since the last
+              commit it applied (gates topological vote claiming) *)
       states : (string * Replica.t) list;
           (** one ensemble per requested key; a key the replier never
               committed reports the paper's initial state *)
@@ -99,8 +77,11 @@ type payload =
       partition : Site_set.t;
       value : string option;
           (** [None]: consistency-only (read) commit — the value is
-              unchanged *)
+              unchanged.  A write's value rides inside the commit so data
+              and ensemble install atomically *)
       rid : int;
+          (** request id the commit applies (0 = none), recorded in every
+              participant's applied-request table for retry dedup *)
     }
   | KData_request of { round : int; key : string }
   | KData_reply of {
@@ -109,8 +90,7 @@ type payload =
       version : int;
       value : string option;
       rids : (int * int) list;
-          (** the applied-request table travels with the data it guards,
-              exactly as in the unsharded [Data_reply] *)
+          (** the applied-request table travels with the data it guards *)
     }
 
 type envelope = { src : int; dst : int; payload : payload }

@@ -1,4 +1,6 @@
-(** Log-structured per-key persistence for the sharded object space.
+(** Log-structured per-key persistence: every voted object of a live
+    site — each key of the sharded object space, or the one object that
+    holds the whole replicated file.
 
     One site's million keys live in a fixed set of append-only shard
     logs ([shards/shard-<i>.dvl] under the site directory); a key's

@@ -62,13 +62,13 @@ let vfs_write (vfs : Vfs.t) path content =
 
 let test_faultfs_fsync_lie () =
   with_scratch (fun dir ->
-      let path = Filename.concat dir "data.dvl" in
+      let path = Filename.concat dir "shard-0.dvl" in
       let ff = Faultfs.create ~seed:3 () in
       let vfs = Faultfs.vfs ff in
       vfs_write vfs path "first";
       (* The rewrite's fsync lies: success reported, nothing promoted. *)
       Faultfs.arm_next ff { Storage.fault = Storage.Fsync_lie;
-                           file = Storage.Data; op = Storage.Fsync; nth = 1 };
+                           file = Storage.Shard; op = Storage.Fsync; nth = 1 };
       vfs_write vfs path "second";
       Alcotest.(check string) "cache holds the lie" "second" (read_file path);
       Faultfs.simulate_crash ff;
@@ -79,7 +79,7 @@ let test_faultfs_fsync_lie () =
 
 let test_faultfs_rename_loss () =
   with_scratch (fun dir ->
-      let dst = Filename.concat dir "data.dvl" in
+      let dst = Filename.concat dir "shard-0.dvl" in
       let tmp = dst ^ ".tmp" in
       write_file dst "old";
       let ff = Faultfs.create () in
@@ -88,7 +88,7 @@ let test_faultfs_rename_loss () =
       vfs_write vfs tmp "new";
       vfs.Vfs.rename ~src:tmp ~dst;
       Faultfs.arm_next ff { Storage.fault = Storage.Rename_loss;
-                           file = Storage.Data; op = Storage.Fsync_dir; nth = 1 };
+                           file = Storage.Shard; op = Storage.Fsync_dir; nth = 1 };
       vfs.Vfs.fsync_dir dir;
       Alcotest.(check string) "rename visible before the cut" "new"
         (read_file dst);
@@ -99,7 +99,7 @@ let test_faultfs_rename_loss () =
 
 let test_faultfs_unsynced_rename_empty () =
   with_scratch (fun dir ->
-      let dst = Filename.concat dir "data.dvl" in
+      let dst = Filename.concat dir "shard-0.dvl" in
       let tmp = dst ^ ".tmp" in
       write_file dst "old";
       let ff = Faultfs.create () in
@@ -167,10 +167,10 @@ let test_faultfs_crash_truncation_deterministic () =
 let sample_records =
   Persist.
     [
-      Log_commit { seq = 1; op_no = 2; version = 2; partition = ss [ 0; 1 ];
-                   rid = 77 };
-      Log_intent { seq = 2; content = String.make 32 'i' };
-      Log_outcome { seq = 3; kind = `Write; granted = true;
+      Log_commit { seq = 1; key = ""; op_no = 2; version = 2;
+                   partition = ss [ 0; 1 ]; rid = 77 };
+      Log_intent { seq = 2; key = ""; content = String.make 32 'i' };
+      Log_outcome { seq = 3; key = ""; kind = `Write; granted = true;
                     content = Some "blob"; rid = 77 };
     ]
 
@@ -237,7 +237,7 @@ let test_scan_torn_tail_truncate_append () =
          append — the new record must NOT read as mid-log corruption. *)
       Vfs.real.Vfs.truncate path scan.Persist.valid_prefix;
       write_log path
-        [ Persist.Log_outcome { seq = 4; kind = `Read; granted = true;
+        [ Persist.Log_outcome { seq = 4; key = ""; kind = `Read; granted = true;
                                 content = None; rid = 0 } ];
       let rescan = Persist.scan_log ~path () in
       Alcotest.(check int) "appended over the cut cleanly" 0
@@ -284,11 +284,11 @@ let test_degraded_fencing () =
           let c = Live.client cluster in
           check_status "baseline" Wire.Granted
             (Live.put c ~at:0 ~key:"a" ~value:"1");
-          (* Site 0's next data fsync fails: the self-apply of its own
+          (* Site 0's next shard fsync fails: the self-apply of its own
              coordinated write cannot persist, so it must fence itself
              and hand the write to its peers via the client's retry. *)
           Faultfs.arm_next ff { Storage.fault = Storage.Eio;
-                               file = Storage.Data; op = Storage.Fsync; nth = 1 };
+                               file = Storage.Shard; op = Storage.Fsync; nth = 1 };
           let r = Live.put ~retries:3 c ~at:0 ~key:"a" ~value:"2" in
           check_status "retried write lands" Wire.Granted r;
           Alcotest.(check bool) "retry hopped sites" true (r.Live.retries > 0);
@@ -456,7 +456,7 @@ let check_cell (cell : Crash_matrix.cell) =
 let test_matrix_cells () =
   with_scratch (fun dir ->
       check_cell
-        (Crash_matrix.run_cell ~dir ~seed:2 (find_point "data.fsync")
+        (Crash_matrix.run_cell ~dir ~seed:2 (find_point "shard.fsync")
            Storage.Fsync_lie);
       check_cell
         (Crash_matrix.run_cell ~dir ~seed:3 (find_point "oplog.write")

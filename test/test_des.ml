@@ -1,10 +1,8 @@
-(* Discrete-event engine: queue ordering, FIFO ties, engine semantics,
-   trace ring buffer. *)
+(* Discrete-event engine: queue ordering, FIFO ties, engine semantics. *)
 
 open Helpers
 module Event_queue = Dynvote_des.Event_queue
 module Engine = Dynvote_des.Engine
-module Trace = Dynvote_des.Trace
 
 let test_queue_ordering () =
   let q = Event_queue.create () in
@@ -110,26 +108,6 @@ let test_engine_step_and_reset () =
   check_float "reset clock" 0.0 (Engine.now engine);
   Alcotest.(check int) "reset handled" 0 (Engine.events_handled engine)
 
-let test_trace_ring () =
-  let t = Trace.create ~capacity:3 () in
-  List.iteri (fun i label -> Trace.record t ~time:(float_of_int i) label)
-    [ "a"; "b"; "c"; "d"; "e" ];
-  Alcotest.(check int) "recorded total" 5 (Trace.recorded t);
-  Alcotest.(check (list string)) "keeps most recent, oldest first"
-    [ "c"; "d"; "e" ]
-    (List.map (fun e -> e.Trace.label) (Trace.entries t))
-
-let test_trace_unbounded () =
-  let t = Trace.create ~capacity:0 () in
-  for i = 1 to 100 do
-    Trace.recordf t ~time:(float_of_int i) "event %d" i
-  done;
-  Alcotest.(check int) "all kept" 100 (List.length (Trace.entries t));
-  Alcotest.(check string) "formatted" "event 1"
-    (List.hd (Trace.entries t)).Trace.label;
-  Trace.clear t;
-  Alcotest.(check int) "cleared" 0 (List.length (Trace.entries t))
-
 let suite =
   [
     Alcotest.test_case "queue ordering" `Quick test_queue_ordering;
@@ -141,6 +119,4 @@ let suite =
     Alcotest.test_case "engine stop" `Quick test_engine_stop;
     Alcotest.test_case "engine rejects past" `Quick test_engine_no_past_scheduling;
     Alcotest.test_case "engine step/reset" `Quick test_engine_step_and_reset;
-    Alcotest.test_case "trace ring buffer" `Quick test_trace_ring;
-    Alcotest.test_case "trace unbounded" `Quick test_trace_unbounded;
   ]

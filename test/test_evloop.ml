@@ -62,7 +62,7 @@ let sample_envelopes : Wire.envelope list =
       payload =
         Wire.Client_reply { req = 2; status = Wire.Granted; value = Some "v"; info = "" };
     };
-    { Wire.src = 2; dst = 1; payload = Wire.Unlock { op = 0x3_00_00_17 } };
+    { Wire.src = 2; dst = 1; payload = Wire.KUnlock { op = 0x3_00_00_17; keys = [ "k" ] } };
   ]
 
 let sample_stream =

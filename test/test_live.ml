@@ -11,6 +11,7 @@ module Live = Dynvote_live.Cluster
 module Loadgen = Dynvote_live.Loadgen
 module Node = Dynvote_live.Node
 module Lease = Dynvote_live.Lease
+module Shard_store = Dynvote_shard.Shard_store
 module Oracle = Dynvote_chaos.Oracle
 module Manual = Dynvote_obs.Clock.Manual
 
@@ -92,19 +93,7 @@ let sample_payloads : Wire.payload list =
     Wire.Hello_site { site = 3 };
     Wire.Hello_client;
     Wire.Welcome { id = 64 };
-    Wire.State_request { round = 9 };
-    Wire.State_reply { round = 9; fresh = true; replica = sample_replica };
-    Wire.State_reply { round = 10; fresh = false; replica = sample_replica };
-    Wire.Lock_request { op = 0x3_00_00_17 };
     Wire.Lock_reply { op = 0x3_00_00_17; granted = false };
-    Wire.Unlock { op = 1 };
-    Wire.Data_request { round = 2 };
-    Wire.Data_reply { round = 2; version = 11; entries = [ ("a", "1"); ("key two", "value\x00with bytes") ];
-                      rids = [ (1, 42); (7, 3) ] };
-    Wire.Data_reply { round = 3; version = 0; entries = []; rids = [] };
-    Wire.Commit { op_no = 8; version = 6; partition = ss [ 0; 1 ]; put = Some ("k", "v");
-                  rid = (1 lsl 32) lor 42 };
-    Wire.Commit { op_no = 9; version = 6; partition = ss [ 0; 1; 2; 3 ]; put = None; rid = 0 };
     Wire.Client_put { req = 1; key = "k"; value = String.make 300 'q' };
     Wire.Client_get { req = 2; key = "k" };
     Wire.Client_recover { req = 3 };
@@ -196,14 +185,17 @@ let prop_wire_garbage_rejected =
 let sample_records =
   Persist.
     [
-      Log_commit { seq = 1; op_no = 2; version = 2; partition = ss [ 0; 1; 2 ];
+      Log_commit { seq = 1; key = ""; op_no = 2; version = 2; partition = ss [ 0; 1; 2 ];
                    rid = (3 lsl 32) lor 9 };
-      Log_intent { seq = 2; content = "blob-A" };
-      Log_outcome { seq = 3; kind = `Write; granted = true; content = Some "blob-A";
-                    rid = (3 lsl 32) lor 9 };
-      Log_outcome { seq = 4; kind = `Read; granted = true; content = Some "blob-A"; rid = 0 };
-      Log_outcome { seq = 5; kind = `Recover; granted = true; content = None; rid = 0 };
-      Log_outcome { seq = 6; kind = `Write; granted = false; content = None; rid = 0 };
+      Log_intent { seq = 2; key = ""; content = "=blob-A" };
+      Log_outcome { seq = 3; key = ""; kind = `Write; granted = true;
+                    content = Some "=blob-A"; rid = (3 lsl 32) lor 9 };
+      Log_outcome { seq = 4; key = "k\x00bin"; kind = `Read; granted = true;
+                    content = Some "=v"; rid = 0 };
+      Log_outcome { seq = 5; key = ""; kind = `Recover; granted = true; content = None;
+                    rid = 0 };
+      Log_outcome { seq = 6; key = "a"; kind = `Write; granted = false; content = None;
+                    rid = 0 };
     ]
 
 let test_oplog_roundtrip () =
@@ -232,27 +224,23 @@ let test_oplog_torn_tail () =
       Alcotest.(check int) "prefix survives" (List.length sample_records - 1)
         (List.length records))
 
-let test_data_blob_roundtrip () =
-  with_scratch (fun dir ->
-      let path = Filename.concat dir "data.dvl" in
-      let entries = [ ("b", "2"); ("a", "1"); ("c", String.make 1000 'z') ] in
-      Persist.save_data ~path ~version:41 entries;
-      match Persist.load_data_result ~path () with
-      | Error reason -> Alcotest.fail reason
-      | Ok (version, loaded, _rids) ->
-          Alcotest.(check int) "version" 41 version;
-          Alcotest.(check bool) "entries (sorted)" true
-            (loaded = List.sort compare entries);
-          (* Corrupt one byte: must come back as Error, not garbage. *)
-          let raw = In_channel.with_open_bin path In_channel.input_all in
-          let bad = Bytes.of_string raw in
-          Bytes.set bad (String.length raw / 2)
-            (Char.chr (Char.code (Bytes.get bad (String.length raw / 2)) lxor 0x10));
-          Out_channel.with_open_bin path (fun oc ->
-              Out_channel.output_bytes oc bad);
-          (match Persist.load_data_result ~path () with
-          | Error _ -> ()
-          | Ok _ -> Alcotest.fail "corrupted data blob accepted"))
+(* The replicated file's value: every key-value pair of the store in one
+   canonical blob.  Order-insensitive on the way in, key-sorted on the
+   way out, and an encoding no other store shares. *)
+let test_file_entries_roundtrip () =
+  let entries = [ ("b", "2"); ("a", "1"); ("c", String.make 1000 'z'); ("", "\x00") ] in
+  let blob = Persist.encode_entries entries in
+  Alcotest.(check bool) "entries (sorted)" true
+    (Persist.decode_entries blob = List.sort compare entries);
+  Alcotest.(check string) "canonical: insertion order is irrelevant" blob
+    (Persist.encode_entries (List.rev entries));
+  Alcotest.(check bool) "injective" true
+    (Persist.encode_entries [ ("ab", "c") ] <> Persist.encode_entries [ ("a", "bc") ]);
+  Alcotest.(check bool) "empty store" true
+    (Persist.decode_entries (Persist.encode_entries []) = []);
+  match Persist.decode_entries (String.sub blob 0 (String.length blob - 1)) with
+  | _ -> Alcotest.fail "truncated blob decoded"
+  | exception Invalid_argument _ -> ()
 
 (* --- the lock lease under a hand-cranked clock ----------------------- *)
 
@@ -477,18 +465,32 @@ let test_amnesia_recovery () =
       let c = Live.client cluster in
       check_status "seed" Wire.Granted (Live.put c ~at:0 ~key:"a" ~value:"1");
       Live.kill cluster 2;
-      (* Torch the stable record: the restarted node must come up
-         amnesiac — silent, refusing to coordinate — not trusting junk. *)
-      let path = Persist.ensemble_path ~dir:(Live.dir cluster) 2 in
-      Out_channel.with_open_bin path (fun oc ->
-          Out_channel.output_string oc "garbage");
+      (* Wipe the stable record: the restarted node must come up amnesiac
+         — abstaining from gathers, refusing to coordinate — rather than
+         claim the initial state for a file whose history it lost. *)
+      rm_rf (Shard_store.shards_dir ~dir:(Live.dir cluster) ~site:2);
       Live.restart cluster 2;
       let r = Live.get c ~at:2 ~key:"a" in
       check_status "amnesiac refuses to coordinate" Wire.Denied r;
+      Alcotest.(check bool)
+        (Printf.sprintf "denial names amnesia (info: %s)" r.Live.info)
+        true
+        (String.length r.Live.info >= 9 && String.sub r.Live.info 0 9 = "amnesiac:");
+      check_status "amnesiac write refused" Wire.Denied
+        (Live.put c ~at:2 ~key:"b" ~value:"2");
+      (* The restart recreated the shard directory; amnesia must survive
+         another reboot all the same. *)
+      Live.restart cluster 2;
+      check_status "still amnesiac after a second reboot" Wire.Denied
+        (Live.get c ~at:2 ~key:"a");
+      check_status "the rest keep serving" Wire.Granted
+        (Live.put c ~at:0 ~key:"a" ~value:"1b");
       check_status "amnesiac recover" Wire.Granted (Live.recover_site c 2);
       let r = Live.get c ~at:2 ~key:"a" in
       check_status "read after recover" Wire.Granted r;
-      Alcotest.(check (option string)) "value restored" (Some "1") r.Live.value;
+      Alcotest.(check (option string)) "value restored" (Some "1b") r.Live.value;
+      check_status "write after recover" Wire.Granted
+        (Live.put c ~at:2 ~key:"b" ~value:"2");
       check_clean "amnesia" (Live.check cluster))
 
 let test_segment_partition_validation () =
@@ -575,7 +577,7 @@ let suite =
     prop_wire_garbage_rejected;
     Alcotest.test_case "oplog round trip" `Quick test_oplog_roundtrip;
     Alcotest.test_case "oplog torn tail" `Quick test_oplog_torn_tail;
-    Alcotest.test_case "data blob round trip" `Quick test_data_blob_roundtrip;
+    Alcotest.test_case "file entries round trip" `Quick test_file_entries_roundtrip;
     Alcotest.test_case "lease under clock steps" `Quick test_lease_clock_steps;
     Alcotest.test_case "no wall clock in lib/live" `Quick test_no_wall_clock_in_live;
     Alcotest.test_case "percentile edge cases" `Quick test_percentile_edges;
