@@ -292,6 +292,37 @@ let test_store_midlog_corruption () =
       | None -> Alcotest.fail "intact record after the damage was dropped");
       Shard_store.close store2)
 
+(* Two damaged frames at the tail, both length prefixes intact.  The
+   shard scan counts every damaged frame but the last as corruption, so
+   this reads as one torn shard with one corrupt frame, and a log with
+   corruption in it is evidence: the file is left uncut. *)
+let test_store_two_trailing_damaged () =
+  with_scratch (fun dir ->
+      let store, _ = Shard_store.open_store ~dir ~site:0 ~shards:1 () in
+      for i = 1 to 3 do
+        Shard_store.commit store ~key:"c" ~rid:(mk_rid ~client:1 ~req:i)
+          (st ~op_no:i ~version:i ~partition:u4 ~data_version:i
+             ~value:(Some (Printf.sprintf "v%d" i)))
+      done;
+      Shard_store.close store;
+      let path =
+        Filename.concat (Shard_store.shards_dir ~dir ~site:0) "shard-0.dvl"
+      in
+      let raw = Bytes.of_string (read_file path) in
+      let frame_end off = off + 4 + Int32.to_int (Bytes.get_int32_le raw off) in
+      let r1 = frame_end 0 in
+      let r2 = frame_end r1 in
+      List.iter
+        (fun off -> Bytes.set raw off (Char.chr (Char.code (Bytes.get raw off) lxor 0x01)))
+        [ r1 + 12; r2 + 12 ];
+      let damaged = Bytes.to_string raw in
+      write_file path damaged;
+      let store2, scan = Shard_store.open_store ~dir ~site:0 ~shards:1 () in
+      Shard_store.close store2;
+      Alcotest.(check int) "one torn shard" 1 scan.Shard_store.torn_shards;
+      Alcotest.(check int) "one corrupt frame" 1 scan.Shard_store.corrupt;
+      Alcotest.(check bool) "file left uncut" true (read_file path = damaged))
+
 let test_store_compaction () =
   with_scratch (fun dir ->
       let store, _ = Shard_store.open_store ~dir ~site:2 ~shards:1 () in
@@ -461,6 +492,183 @@ let test_golden_shard_record () =
          "00000000000b00000000000000060000000000000002020000007631" ^
          "0900000003000000")
         (hex (read_file path)))
+
+(* The remaining record formats, pinned the same way.  Each sample also
+   has every strict prefix and one flipped byte just past the checksum
+   slot thrown back at its reader, which must reject them as data —
+   [Error], torn or corrupt — never with an exception from [Bytes]. *)
+
+module Persist = Dynvote_live.Persist
+
+let flip_byte s i =
+  String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor 0x01) else c) s
+
+let golden_session_frames =
+  [
+    ( "hello-site",
+      Wire.Hello_site { site = 3 },
+      "0f0000004456573107001e0001000200000300" );
+    ( "hello-client",
+      Wire.Hello_client,
+      "0d00000044565731050011000100020001" );
+    ( "welcome",
+      Wire.Welcome { id = 64 },
+      "0f0000004456573146009e0001000200024000" );
+    ( "client-put",
+      Wire.Client_put { req = 5; key = "k1"; value = "v1" },
+      "1b000000445657315b011f07010002000b0500000002006b31020000" ^
+      "007631" );
+    ( "client-get",
+      Wire.Client_get { req = 5; key = "k1" },
+      "1500000044565731b300d301010002000c0500000002006b31" );
+    ( "client-recover",
+      Wire.Client_recover { req = 5 },
+      "110000004456573116007500010002000d05000000" );
+    ( "client-reply",
+      Wire.Client_reply { req = 5; status = Wire.Granted; value = Some "v1"; info = "ok" },
+      "1d000000445657319d01b706010002000e0500000000010200000076" ^
+      "3102006f6b" );
+    ( "client-reply-denied",
+      Wire.Client_reply { req = 6; status = Wire.Denied; value = None; info = "" },
+      "15000000445657311900e200010002000e0600000001000000" );
+    ( "kunlock",
+      Wire.KUnlock { op = 0x2_00_00_09; keys = [ "k1" ] },
+      "1700000044565731bf007002010002001109000002010002006b31" );
+  ]
+
+let test_golden_session_wire () =
+  List.iter
+    (fun (name, payload, expected) ->
+      let frame = Wire.encode { Wire.src = 1; dst = 2; payload } in
+      Alcotest.(check string) (name ^ " bytes") expected (hex frame);
+      let rejected s = match Wire.decode s with Error _ -> true | Ok _ -> false in
+      for len = 0 to String.length frame - 1 do
+        if not (rejected (String.sub frame 0 len)) then
+          Alcotest.failf "%s: %d-byte prefix accepted" name len
+      done;
+      Alcotest.(check bool) (name ^ ": flipped byte rejected") true
+        (rejected (flip_byte frame 12)))
+    golden_session_frames
+
+let golden_oplog =
+  Persist.
+    [
+      ("commit",
+       Log_commit { seq = 1; key = "k1"; op_no = 8; version = 6;
+                    partition = ss [ 0; 1; 3 ]; rid = (3 lsl 32) lor 9 },
+       "3500000044564f31c800431803010000000000000002006b31080000" ^
+       "000000000006000000000000000b0000000000000009000000030000" ^
+       "00");
+      ("intent",
+       Log_intent { seq = 2; key = "k1"; content = "v1" },
+       "1b00000044564f314e016f0604020000000000000002006b31020000" ^
+       "007631");
+      ("outcome-none",
+       Log_outcome { seq = 3; key = "k1"; kind = `Read; granted = false;
+                     content = None; rid = 0 },
+       "2000000044564f31a700ae0805030000000000000002006b31000000" ^
+       "0000000000000000");
+      ("outcome-some",
+       Log_outcome { seq = 4; key = "k1"; kind = `Write; granted = true;
+                     content = Some "v1"; rid = (3 lsl 32) lor 9 },
+       "2600000044564f316001aa1305040000000000000002006b31010101" ^
+       "0200000076310900000003000000");
+    ]
+
+let test_golden_oplog () =
+  with_scratch (fun dir ->
+      let path = Filename.concat dir "oplog.dvl" in
+      let rejected bytes =
+        write_file path bytes;
+        let scan = Persist.scan_log ~path () in
+        scan.Persist.records = [] && (scan.Persist.torn || scan.Persist.corrupt > 0)
+      in
+      List.iter
+        (fun (name, record, expected) ->
+          (try Sys.remove path with Sys_error _ -> ());
+          let log = Persist.open_log ~path () in
+          Persist.append log record;
+          Persist.close_log log;
+          let frame = read_file path in
+          Alcotest.(check string) (name ^ " bytes") expected (hex frame);
+          for len = 1 to String.length frame - 1 do
+            if not (rejected (String.sub frame 0 len)) then
+              Alcotest.failf "oplog %s: %d-byte prefix accepted" name len
+          done;
+          Alcotest.(check bool) (name ^ ": flipped byte rejected") true
+            (rejected (flip_byte frame 12)))
+        golden_oplog)
+
+let test_golden_rids_sidecar () =
+  with_scratch (fun dir ->
+      let store, _ = Shard_store.open_store ~dir ~site:0 ~shards:1 () in
+      Shard_store.save_rids store [ (3, 9); (1, 42) ];
+      Shard_store.close store;
+      let path = Filename.concat (Shard_store.shards_dir ~dir ~site:0) "rids.dvr" in
+      let sidecar = read_file path in
+      Alcotest.(check string) "rids.dvr bytes"
+        ("445653313a00200402000000010000002a0000000000000003000000" ^
+         "0900000000000000")
+        (hex sidecar);
+      let rejected bytes =
+        write_file path bytes;
+        let store, scan = Shard_store.open_store ~dir ~site:0 ~shards:1 () in
+        Shard_store.close store;
+        scan.Shard_store.rids = []
+      in
+      for len = 0 to String.length sidecar - 1 do
+        if not (rejected (String.sub sidecar 0 len)) then
+          Alcotest.failf "rids.dvr: %d-byte prefix accepted" len
+      done;
+      Alcotest.(check bool) "flipped byte rejected" true
+        (rejected (flip_byte sidecar 8)))
+
+let test_golden_compacted_log () =
+  with_scratch (fun dir ->
+      let store, _ = Shard_store.open_store ~dir ~site:0 ~shards:1 () in
+      for i = 1 to 1024 do
+        Shard_store.commit store ~key:"k1" ~rid:(mk_rid ~client:3 ~req:i)
+          (st ~op_no:i ~version:i ~partition:(ss [ 0; 1; 3 ]) ~data_version:i
+             ~value:(Some "v1"))
+      done;
+      Alcotest.(check int) "compacted once" 1 (Shard_store.compactions store);
+      Shard_store.close store;
+      let path = Filename.concat (Shard_store.shards_dir ~dir ~site:0) "shard-0.dvl" in
+      let log = read_file path in
+      Alcotest.(check string) "compacted shard log bytes"
+        ("19000000445653310a00720001010000000300000000040000000000" ^
+         "003c000000445653316101d1270002006b3100040000000000000004" ^
+         "0000000000000b000000000000000004000000000000020200000076" ^
+         "310000000000000000")
+        (hex log);
+      (* A cut exactly after the rid summary is a shorter valid log. *)
+      let boundary = 4 + Int32.to_int (String.get_int32_le log 0) in
+      let rejected bytes =
+        write_file path bytes;
+        let store, scan = Shard_store.open_store ~dir ~site:0 ~shards:1 () in
+        Shard_store.close store;
+        scan.Shard_store.torn_shards > 0 || scan.Shard_store.corrupt > 0
+      in
+      for len = 1 to String.length log - 1 do
+        if len <> boundary && not (rejected (String.sub log 0 len)) then
+          Alcotest.failf "compacted log: %d-byte prefix accepted" len
+      done;
+      Alcotest.(check bool) "flipped byte rejected" true
+        (rejected (flip_byte log 12)))
+
+(* The entries blob has no seal, so only its prefixes are thrown back. *)
+let test_golden_entries () =
+  let blob = Persist.encode_entries [ ("k2", "v2"); ("k1", "v1") ] in
+  Alcotest.(check string) "entries blob bytes"
+    ("0200000002006b3102000000763102006b32020000007632")
+    (hex blob);
+  for len = 0 to String.length blob - 1 do
+    match Persist.decode_entries (String.sub blob 0 len) with
+    | _ -> Alcotest.failf "entries: %d-byte prefix accepted" len
+    | exception Invalid_argument reason ->
+        Alcotest.(check bool) "decoder's own error" true
+          (String.starts_with ~prefix:"Persist.decode_entries" reason)
+  done
 
 let test_map_validation () =
   with_scratch (fun dir ->
@@ -770,6 +978,8 @@ let suite =
       test_store_torn_tail;
     Alcotest.test_case "store: mid-log damage surfaced" `Quick
       test_store_midlog_corruption;
+    Alcotest.test_case "store: two damaged trailing frames" `Quick
+      test_store_two_trailing_damaged;
     Alcotest.test_case "store: hot key compacts without forgetting" `Quick
       test_store_compaction;
     Alcotest.test_case "map: LRU bounds residency" `Quick test_map_lru;
@@ -778,6 +988,13 @@ let suite =
     Alcotest.test_case "golden: keyed wire frames" `Quick test_golden_wire;
     Alcotest.test_case "golden: shard commit record" `Quick
       test_golden_shard_record;
+    Alcotest.test_case "golden: session wire frames" `Quick
+      test_golden_session_wire;
+    Alcotest.test_case "golden: oplog frames" `Quick test_golden_oplog;
+    Alcotest.test_case "golden: rids sidecar" `Quick test_golden_rids_sidecar;
+    Alcotest.test_case "golden: compacted shard log" `Quick
+      test_golden_compacted_log;
+    Alcotest.test_case "golden: entries blob" `Quick test_golden_entries;
     Alcotest.test_case "live: keys vote independently" `Quick
       test_live_multikey;
     Alcotest.test_case "live: RECOVER refused in the sharded space" `Quick
