@@ -7,8 +7,8 @@
       and values, in {!Dynvote_shard.Shard_store}'s append-only shard
       logs;
     - [oplog.dvl] — an append-only log of every commit this node applied
-      and every client-visible outcome it coordinated, framed and
-      checksummed per record; the merged logs of all nodes replay through
+      and every client-visible outcome it coordinated, one
+      {!Dynvote.Codec} sealed record each; the merged logs of all nodes replay through
       the chaos {!Dynvote_chaos.Oracle}, one oracle per object;
     - [amnesiac] — present only while the node has lost its shard logs
       and not yet recovered.

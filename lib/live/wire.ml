@@ -1,18 +1,17 @@
 (* Wire protocol of the live replication service.
 
-   Frames are self-delimiting and self-checking:
+   A frame is a {!Codec} sealed record (magic "DVW1") whose body is
+   [src:u16 | dst:u16 | tag:u8 | fields]; Codec owns the framing,
+   checksum and field encodings.  The consistency ensembles inside
+   KState_reply are the Codec ensemble record byte for byte, so the
+   protocol state that crosses the wire is the same record that sits on
+   disk.  Tags 3-5 and 7-10 belonged to a retired frame family and are
+   never reused. *)
 
-       len:u32 | magic "DVW1" | adler32:u32 | src:u16 | dst:u16 | tag:u8 | fields
-
-   The checksum covers everything after itself.  Integers are
-   little-endian fixed width; keys carry u16 lengths, values u32.  The
-   consistency ensembles inside KState_reply reuse the Codec stable-storage
-   encoding byte for byte, so the protocol state that crosses the wire is
-   the same record that sits on disk.  Tags 3-5 and 7-10 belonged to a
-   retired frame family and are never reused. *)
+open Codec
 
 let magic = "DVW1"
-let max_frame = 16 * 1024 * 1024
+let max_frame = max_record
 let broker_id = 0xFFFF
 let first_client_id = 64
 let is_site id = id >= 0 && id < Site_set.max_sites
@@ -84,21 +83,6 @@ let pp ppf e = Fmt.pf ppf "%d->%d %s" e.src e.dst (kind_name e.payload)
 
 (* --- encoding ----------------------------------------------------- *)
 
-let add_u8 b v = Buffer.add_char b (Char.chr (v land 0xff))
-let add_u16 b v = Buffer.add_uint16_le b v
-let add_u32 b v = Buffer.add_int32_le b (Int32.of_int v)
-let add_u64 b v = Buffer.add_int64_le b (Int64.of_int v)
-let add_bool b v = add_u8 b (if v then 1 else 0)
-
-let add_key b k =
-  if String.length k > 0xffff then invalid_arg "Wire: key longer than 65535 bytes";
-  add_u16 b (String.length k);
-  Buffer.add_string b k
-
-let add_value b v =
-  add_u32 b (String.length v);
-  Buffer.add_string b v
-
 let add_status b = function
   | Granted -> add_u8 b 0
   | Denied -> add_u8 b 1
@@ -137,7 +121,7 @@ let encode_payload b = function
   | Client_put { req; key; value } ->
       add_u32 b req;
       add_key b key;
-      add_value b value
+      add_blob b value
   | Client_get { req; key } ->
       add_u32 b req;
       add_key b key
@@ -145,17 +129,10 @@ let encode_payload b = function
   | Client_reply { req; status; value; info } ->
       add_u32 b req;
       add_status b status;
-      (match value with
-      | None -> add_u8 b 0
-      | Some v ->
-          add_u8 b 1;
-          add_value b v);
+      add_option b add_blob value;
       add_key b info
   | Abstain { round } -> add_u32 b round
-  | KLock_request { op; keys } ->
-      add_u32 b op;
-      add_keys b keys
-  | KUnlock { op; keys } ->
+  | KLock_request { op; keys } | KUnlock { op; keys } ->
       add_u32 b op;
       add_keys b keys
   | KState_request { round; keys } ->
@@ -168,18 +145,14 @@ let encode_payload b = function
       List.iter
         (fun (k, replica) ->
           add_key b k;
-          Buffer.add_string b (Codec.encode_replica replica))
+          Buffer.add_string b (encode_replica replica))
         states
   | KCommit { key; op_no; version; partition; value; rid } ->
       add_key b key;
       add_u64 b op_no;
       add_u64 b version;
       add_u64 b (Site_set.to_int partition);
-      (match value with
-      | None -> add_u8 b 0
-      | Some v ->
-          add_u8 b 1;
-          add_value b v);
+      add_option b add_blob value;
       add_u64 b rid
   | KData_request { round; key } ->
       add_u32 b round;
@@ -188,85 +161,23 @@ let encode_payload b = function
       add_u32 b round;
       add_key b key;
       add_u64 b version;
-      (match value with
-      | None -> add_u8 b 0
-      | Some v ->
-          add_u8 b 1;
-          add_value b v);
-      add_u32 b (List.length rids);
-      List.iter
-        (fun (client, req) ->
+      add_option b add_blob value;
+      add_list b
+        (fun b (client, req) ->
           add_u32 b client;
           add_u64 b req)
         rids
 
 let encode e =
-  let body = Buffer.create 64 in
-  Buffer.add_string body magic;
-  add_u32 body 0 (* checksum slot *);
-  add_u16 body e.src;
-  add_u16 body e.dst;
-  add_u8 body (tag_of e.payload);
-  encode_payload body e.payload;
-  let body = Buffer.to_bytes body in
-  Bytes.set_int32_le body 4 (Codec.checksum body ~off:8 ~len:(Bytes.length body - 8));
-  let frame = Bytes.create (4 + Bytes.length body) in
-  Bytes.set_int32_le frame 0 (Int32.of_int (Bytes.length body));
-  Bytes.blit body 0 frame 4 (Bytes.length body);
-  Bytes.to_string frame
+  seal ~magic (fun b ->
+      add_u16 b e.src;
+      add_u16 b e.dst;
+      add_u8 b (tag_of e.payload);
+      encode_payload b e.payload)
 
 (* --- decoding ----------------------------------------------------- *)
 
-exception Bad of string
-
-(* A cursor over the body bytes; every read is bounds-checked so a
-   malformed length field turns into [Error], never an exception from
-   Bytes. *)
-type cursor = { data : Bytes.t; mutable pos : int }
-
-let need c n = if c.pos + n > Bytes.length c.data then raise (Bad "frame truncated")
-
-let u8 c =
-  need c 1;
-  let v = Char.code (Bytes.get c.data c.pos) in
-  c.pos <- c.pos + 1;
-  v
-
-let u16 c =
-  need c 2;
-  let v = Bytes.get_uint16_le c.data c.pos in
-  c.pos <- c.pos + 2;
-  v
-
-let u32 c =
-  need c 4;
-  let v = Int32.to_int (Bytes.get_int32_le c.data c.pos) land 0xFFFFFFFF in
-  c.pos <- c.pos + 4;
-  v
-
-let u64 c =
-  need c 8;
-  let v = Bytes.get_int64_le c.data c.pos in
-  c.pos <- c.pos + 8;
-  if Int64.compare v 0L < 0 || Int64.compare v (Int64.of_int max_int) > 0 then
-    raise (Bad "field out of range");
-  Int64.to_int v
-
-let bool_field c =
-  match u8 c with 0 -> false | 1 -> true | _ -> raise (Bad "bad boolean")
-
-let str c len =
-  need c len;
-  let s = Bytes.sub_string c.data c.pos len in
-  c.pos <- c.pos + len;
-  s
-
-let key c = str c (u16 c)
-let value c = str c (u32 c)
-
-let keys_field c =
-  let n = u16 c in
-  List.init n (fun _ -> key c)
+let keys_field c = List.init (u16 c) (fun _ -> key c)
 
 let status_field c =
   match u8 c with
@@ -277,16 +188,9 @@ let status_field c =
   | _ -> raise (Bad "bad status")
 
 let replica_field c =
-  let data = str c Codec.encoded_size in
-  match Codec.decode_result data with
+  match decode_result (str c encoded_size) with
   | Ok replica -> replica
   | Error reason -> raise (Bad ("bad replica: " ^ reason))
-
-let site_set_field c =
-  let mask = u64 c in
-  if mask land lnot (Site_set.to_int (Site_set.universe Site_set.max_sites)) <> 0 then
-    raise (Bad "partition mask has illegal bits");
-  Site_set.of_int_unsafe mask
 
 let decode_payload c tag =
   match tag with
@@ -295,11 +199,11 @@ let decode_payload c tag =
   | 2 -> Welcome { id = u16 c }
   | 6 ->
       let op = u32 c in
-      Lock_reply { op; granted = bool_field c }
+      Lock_reply { op; granted = bool c }
   | 11 ->
       let req = u32 c in
       let k = key c in
-      Client_put { req; key = k; value = value c }
+      Client_put { req; key = k; value = blob c }
   | 12 ->
       let req = u32 c in
       Client_get { req; key = key c }
@@ -307,12 +211,7 @@ let decode_payload c tag =
   | 14 ->
       let req = u32 c in
       let status = status_field c in
-      let v =
-        match u8 c with
-        | 0 -> None
-        | 1 -> Some (value c)
-        | _ -> raise (Bad "bad value flag")
-      in
+      let v = option c blob in
       Client_reply { req; status; value = v; info = key c }
   | 15 -> Abstain { round = u32 c }
   | 16 ->
@@ -326,10 +225,9 @@ let decode_payload c tag =
       KState_request { round; keys = keys_field c }
   | 19 ->
       let round = u32 c in
-      let fresh = bool_field c in
-      let n = u16 c in
+      let fresh = bool c in
       let states =
-        List.init n (fun _ ->
+        List.init (u16 c) (fun _ ->
             let k = key c in
             (k, replica_field c))
       in
@@ -338,15 +236,9 @@ let decode_payload c tag =
       let k = key c in
       let op_no = u64 c in
       let version = u64 c in
-      let partition = site_set_field c in
-      let value =
-        match u8 c with
-        | 0 -> None
-        | 1 -> Some (value c)
-        | _ -> raise (Bad "bad value flag")
-      in
-      let rid = u64 c in
-      KCommit { key = k; op_no; version; partition; value; rid }
+      let partition = site_set c in
+      let value = option c blob in
+      KCommit { key = k; op_no; version; partition; value; rid = u64 c }
   | 21 ->
       let round = u32 c in
       KData_request { round; key = key c }
@@ -354,33 +246,18 @@ let decode_payload c tag =
       let round = u32 c in
       let k = key c in
       let version = u64 c in
-      let value =
-        match u8 c with
-        | 0 -> None
-        | 1 -> Some (value c)
-        | _ -> raise (Bad "bad value flag")
-      in
-      let nr = u32 c in
-      if nr > max_frame then raise (Bad "rid count out of range");
-      let rids = List.init nr (fun _ -> let client = u32 c in (client, u64 c)) in
+      let value = option c blob in
+      let rids = list c (fun c -> let client = u32 c in (client, u64 c)) in
       KData_reply { round; key = k; version; value; rids }
   | _ -> raise (Bad "unknown tag")
 
-let decode_body body =
-  try
-    if Bytes.length body < 13 then raise (Bad "frame too short");
-    if Bytes.sub_string body 0 4 <> magic then raise (Bad "bad magic");
-    let stored = Bytes.get_int32_le body 4 in
-    let computed = Codec.checksum body ~off:8 ~len:(Bytes.length body - 8) in
-    if not (Int32.equal stored computed) then raise (Bad "checksum mismatch");
-    let c = { data = body; pos = 8 } in
-    let src = u16 c in
-    let dst = u16 c in
-    let tag = u8 c in
-    let payload = decode_payload c tag in
-    if c.pos <> Bytes.length body then raise (Bad "trailing garbage");
-    Ok { src; dst; payload }
-  with Bad reason -> Error reason
+(* The sealed frame at [off, off + len) of [data], length prefix
+   excluded. *)
+let decode_body =
+  unseal ~magic (fun c ->
+      let src = u16 c in
+      let dst = u16 c in
+      { src; dst; payload = decode_payload c (u8 c) })
 
 let decode frame =
   if String.length frame < 4 then Error "missing length prefix"
@@ -388,7 +265,7 @@ let decode frame =
     let len = Int32.to_int (String.get_int32_le frame 0) land 0xFFFFFFFF in
     if len > max_frame then Error "frame length out of range"
     else if String.length frame - 4 <> len then Error "length prefix mismatch"
-    else decode_body (Bytes.of_string (String.sub frame 4 len))
+    else decode_body (Bytes.unsafe_of_string frame) ~off:4 ~len
 
 (* --- incremental decoder ------------------------------------------ *)
 
@@ -423,11 +300,11 @@ module Decoder = struct
       if body_len > max_frame then Some (Error "frame length out of range")
       else if d.len < 4 + body_len then None
       else begin
-        let body = Bytes.sub d.buf 4 body_len in
+        let decoded = decode_body d.buf ~off:4 ~len:body_len in
         let rest = d.len - 4 - body_len in
         Bytes.blit d.buf (4 + body_len) d.buf 0 rest;
         d.len <- rest;
-        Some (decode_body body)
+        Some decoded
       end
 end
 
@@ -466,12 +343,10 @@ let read_once c =
   | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE | Unix.EBADF), _, _) ->
       `Closed
 
-let next_frame c = Decoder.next c.dec
-
 (* [deadline] is an absolute reading of [clock] — the injected monotonic
    clock by default, never the steppable wall clock. *)
 let rec recv ?(clock = Dynvote_obs.Clock.now) ?deadline c =
-  match next_frame c with
+  match Decoder.next c.dec with
   | Some (Ok e) -> Ok e
   | Some (Error reason) -> Error (`Corrupt reason)
   | None -> (

@@ -1,14 +1,12 @@
-(** The live service's wire protocol: length-prefixed, versioned,
-    checksummed binary frames over real sockets, in the style of
-    {!Dynvote.Codec}.
+(** The live service's wire protocol: {!Dynvote.Codec} sealed records
+    over real sockets.
 
-    Every frame is [length (u32) | magic "DVW1" | adler32 | src | dst |
-    payload]; the checksum covers everything after itself, so a truncated
-    or bit-flipped frame is detected rather than trusted — {!decode} is
-    total and returns the corruption reason.  Replica ensembles travel in
-    their {!Dynvote.Codec} stable-storage encoding, so the bytes a
-    [KState_reply] carries are exactly the bytes of a node's ensemble
-    record. *)
+    Every frame is [length | magic "DVW1" | adler32 | src | dst | tag |
+    payload], so a truncated or bit-flipped frame is detected rather than
+    trusted — {!decode} is total and returns the corruption reason.
+    Replica ensembles travel as the {!Dynvote.Codec} ensemble record, so
+    the bytes a [KState_reply] carries are exactly the bytes of a node's
+    ensemble record. *)
 
 (** {2 Endpoints} *)
 
@@ -159,9 +157,3 @@ val recv :
     defaults to the monotonic {!Dynvote_obs.Clock.now} — wall-clock
     steps can never stretch or collapse a wait.  An omitted deadline
     blocks until a frame or EOF. *)
-
-val read_once : conn -> [ `Data | `Closed ]
-(** One [read(2)] into the buffer (for select-driven loops). *)
-
-val next_frame : conn -> (envelope, string) result option
-(** A complete buffered frame, if any ([None] = need more bytes). *)

@@ -1,10 +1,10 @@
 (* Append-only shard logs + an in-memory spine of packed latest
-   records.  The framing mirrors the oplog ("len | magic | crc | body"),
-   so the torn-tail / mid-log-corruption forensics carry over: a partial
-   frame at the end of a shard is honest crash damage and is cut off
-   before reopening for append; a bad record with intact ones after it
-   is bit rot and is surfaced in [scan_info.corrupt] for the node to
-   fence on.
+   records.  Log records are {!Codec} sealed records (magic "DVS1")
+   walked by {!Codec.walk_log}, like the oplog, so the torn-tail /
+   mid-log-corruption forensics carry over: a partial frame at the end
+   of a shard is honest crash damage and is cut off before reopening for
+   append; a bad record with intact ones after it is bit rot and is
+   surfaced in [scan_info.corrupt] for the node to fence on.
 
    Record types inside the frame:
 
@@ -14,8 +14,9 @@
         snapshots at the head of the rewritten log, so dropping
         superseded records never drops exactly-once memory. *)
 
+open Codec
+
 let magic = "DVS1"
-let max_record = 16 * 1024 * 1024
 
 type state = {
   op_no : int;
@@ -80,32 +81,21 @@ let unpack packed =
 
 (* --- record framing -------------------------------------------------- *)
 
-let add_u8 b v = Buffer.add_char b (Char.chr (v land 0xff))
-let add_u16 b v = Buffer.add_uint16_le b v
-let add_u32 b v = Buffer.add_int32_le b (Int32.of_int v)
-let add_u64 b v = Buffer.add_int64_le b (Int64.of_int v)
-
 type value_enc = Unchanged | Set of string option
 
-let frame_of body_fill =
-  let b = Buffer.create 96 in
-  Buffer.add_string b magic;
-  add_u32 b 0 (* checksum slot *);
-  body_fill b;
-  let body = Buffer.to_bytes b in
-  Bytes.set_int32_le body 4 (Codec.checksum body ~off:8 ~len:(Bytes.length body - 8));
-  let frame = Bytes.create (4 + Bytes.length body) in
-  Bytes.set_int32_le frame 0 (Int32.of_int (Bytes.length body));
-  Bytes.blit body 0 frame 4 (Bytes.length body);
-  Bytes.to_string frame
+let add_rid_pairs b pairs =
+  add_list b
+    (fun b (client, req) ->
+      add_u32 b client;
+      add_u64 b req)
+    pairs
+
+let rid_pairs c = list c (fun c -> let client = u32 c in (client, u64 c))
 
 let encode_state_record ~key ~rid ~value_enc st =
-  frame_of (fun b ->
+  seal ~magic (fun b ->
       add_u8 b 0;
-      if String.length key > 0xffff then
-        invalid_arg "Shard_store: key longer than 65535 bytes";
-      add_u16 b (String.length key);
-      Buffer.add_string b key;
+      add_key b key;
       add_u64 b st.op_no;
       add_u64 b st.version;
       add_u64 b (Site_set.to_int st.partition);
@@ -115,57 +105,13 @@ let encode_state_record ~key ~rid ~value_enc st =
       | Set None -> add_u8 b 1
       | Set (Some v) ->
           add_u8 b 2;
-          add_u32 b (String.length v);
-          Buffer.add_string b v);
+          add_blob b v);
       add_u64 b rid)
 
 let encode_rid_record pairs =
-  frame_of (fun b ->
+  seal ~magic (fun b ->
       add_u8 b 1;
-      add_u32 b (List.length pairs);
-      List.iter
-        (fun (client, req) ->
-          add_u32 b client;
-          add_u64 b req)
-        pairs)
-
-exception Bad of string
-
-type cursor = { data : Bytes.t; mutable pos : int }
-
-let need c n = if c.pos + n > Bytes.length c.data then raise (Bad "record truncated")
-
-let u8 c =
-  need c 1;
-  let v = Char.code (Bytes.get c.data c.pos) in
-  c.pos <- c.pos + 1;
-  v
-
-let u16 c =
-  need c 2;
-  let v = Bytes.get_uint16_le c.data c.pos in
-  c.pos <- c.pos + 2;
-  v
-
-let u32 c =
-  need c 4;
-  let v = Int32.to_int (Bytes.get_int32_le c.data c.pos) land 0xFFFFFFFF in
-  c.pos <- c.pos + 4;
-  v
-
-let u64 c =
-  need c 8;
-  let v = Bytes.get_int64_le c.data c.pos in
-  c.pos <- c.pos + 8;
-  if Int64.compare v 0L < 0 || Int64.compare v (Int64.of_int max_int) > 0 then
-    raise (Bad "field out of range");
-  Int64.to_int v
-
-let str c len =
-  need c len;
-  let s = Bytes.sub_string c.data c.pos len in
-  c.pos <- c.pos + len;
-  s
+      add_rid_pairs b pairs)
 
 type record =
   | R_state of { key : string; rid : int; value_enc : value_enc; st : state }
@@ -173,44 +119,26 @@ type record =
          scan resolves it against the previous spine entry *)
   | R_rids of (int * int) list
 
-let decode_record body =
-  let c = { data = body; pos = 0 } in
-  if str c 4 <> magic then raise (Bad "bad magic");
-  let stored = Bytes.get_int32_le body 4 in
-  c.pos <- 8;
-  let computed = Codec.checksum body ~off:8 ~len:(Bytes.length body - 8) in
-  if not (Int32.equal stored computed) then raise (Bad "checksum mismatch");
-  let record =
-    match u8 c with
-    | 0 ->
-        let key = str c (u16 c) in
-        let op_no = u64 c in
-        let version = u64 c in
-        let partition = Site_set.of_int_unsafe (u64 c) in
-        let data_version = u64 c in
-        let value_enc =
-          match u8 c with
-          | 0 -> Unchanged
-          | 1 -> Set None
-          | 2 -> Set (Some (str c (u32 c)))
-          | _ -> raise (Bad "bad value tag")
-        in
-        let rid = u64 c in
-        R_state
-          {
-            key;
-            rid;
-            value_enc;
-            st = { op_no; version; partition; data_version; value = None };
-          }
-    | 1 ->
-        let n = u32 c in
-        if n > max_record then raise (Bad "rid count out of range");
-        R_rids (List.init n (fun _ -> let client = u32 c in (client, u64 c)))
-    | _ -> raise (Bad "unknown record type")
-  in
-  if c.pos <> Bytes.length body then raise (Bad "trailing garbage");
-  record
+let decode_record c =
+  match u8 c with
+  | 0 ->
+      let key = key c in
+      let op_no = u64 c in
+      let version = u64 c in
+      let partition = Site_set.of_int_unsafe (u64 c) in
+      let data_version = u64 c in
+      let value_enc =
+        match u8 c with
+        | 0 -> Unchanged
+        | 1 -> Set None
+        | 2 -> Set (Some (blob c))
+        | _ -> raise (Bad "bad value tag")
+      in
+      let rid = u64 c in
+      R_state
+        { key; rid; value_enc; st = { op_no; version; partition; data_version; value = None } }
+  | 1 -> R_rids (rid_pairs c)
+  | _ -> raise (Bad "unknown record type")
 
 (* --- the store ------------------------------------------------------- *)
 
@@ -257,88 +185,46 @@ let merge_rid_pairs rids pairs =
     pairs
 
 (* Fold one shard log into the spine, resolving "unchanged" values
-   against the previous record for the key.  Same resync discipline as
-   the oplog scan: intact length prefixes let us skip a damaged frame,
-   an implausible length ends the scan (torn tail). *)
-let scan_shard_file ~read spine rids path =
-  match read path with
-  | exception Sys_error _ -> (false, 0, 0)
-  | data ->
-      let raw = Bytes.of_string data in
-      let total = Bytes.length raw in
-      let pos = ref 0 in
-      let torn = ref false in
-      let bad = ref 0 in
-      let applied = ref 0 in
-      let damaged_at = ref [] in
-      (try
-         while !pos < total do
-           if !pos + 4 > total then raise Exit;
-           let len = Int32.to_int (Bytes.get_int32_le raw !pos) land 0xFFFFFFFF in
-           if len <= 0 || len > max_record || !pos + 4 + len > total then
-             raise Exit;
-           (match decode_record (Bytes.sub raw (!pos + 4) len) with
-           | R_state { key; rid; value_enc; st } ->
-               incr applied;
-               note_rid rids rid;
-               let value =
-                 match value_enc with
-                 | Set v -> v
-                 | Unchanged -> (
-                     match Hashtbl.find_opt spine key with
-                     | Some packed -> (unpack packed).value
-                     | None -> None)
-               in
-               Hashtbl.replace spine key (pack { st with value })
-           | R_rids pairs -> merge_rid_pairs rids pairs
-           | exception Bad _ -> damaged_at := !pos :: !damaged_at);
-           pos := !pos + 4 + len
-         done
-       with Exit -> torn := true);
-      (* Damage followed only by more damage (or nothing) is the torn
-         tail; damage with an intact record after it is mid-log. *)
-      (match !damaged_at with
-      | [] -> ()
-      | last_bad :: earlier ->
-          torn := true;
-          bad := List.length earlier;
-          ignore (last_bad : int));
-      (!torn, !bad, !applied)
-
-(* The scan above treats every damaged frame except the last as mid-log
-   corruption.  That over-counts one case — several trailing partial
+   against the previous record for the key.  Returns whether the shard
+   is torn, its corrupt frame count, the state records applied and the
+   valid prefix.  Every damaged frame but the last counts as mid-log
+   corruption.  That over-counts one case — several trailing damaged
    frames — which a single append cannot produce anyway; honest crashes
    tear at most one frame. *)
+let scan_shard_file ~read spine rids path =
+  match read path with
+  | exception Sys_error _ -> (false, 0, 0, 0)
+  | data ->
+      let walk = walk_log ~magic decode_record data in
+      let applied = ref 0 and damaged = ref 0 in
+      List.iter
+        (function
+          | Some (R_state { key; rid; value_enc; st }) ->
+              incr applied;
+              note_rid rids rid;
+              let value =
+                match value_enc with
+                | Set v -> v
+                | Unchanged -> (
+                    match Hashtbl.find_opt spine key with
+                    | Some packed -> (unpack packed).value
+                    | None -> None)
+              in
+              Hashtbl.replace spine key (pack { st with value })
+          | Some (R_rids pairs) -> merge_rid_pairs rids pairs
+          | None -> incr damaged)
+        walk.frames;
+      (walk.ragged || !damaged > 0, max 0 (!damaged - 1), !applied, walk.valid_prefix)
 
+(* The sidecar is a sealed record without the length prefix; a damaged
+   one contributes nothing. *)
 let decode_rids_file data =
-  try
-    let b = Bytes.of_string data in
-    if Bytes.length b < 12 then raise (Bad "rid file too short");
-    if Bytes.sub_string b 0 4 <> magic then raise (Bad "bad magic");
-    let stored = Bytes.get_int32_le b 4 in
-    let computed = Codec.checksum b ~off:8 ~len:(Bytes.length b - 8) in
-    if not (Int32.equal stored computed) then raise (Bad "checksum mismatch");
-    let c = { data = b; pos = 8 } in
-    let n = u32 c in
-    if n > max_record then raise (Bad "rid count out of range");
-    let pairs = List.init n (fun _ -> let client = u32 c in (client, u64 c)) in
-    if c.pos <> Bytes.length b then raise (Bad "trailing garbage");
-    Some pairs
-  with Bad _ -> None
+  unseal ~magic rid_pairs (Bytes.unsafe_of_string data) ~off:0 ~len:(String.length data)
+  |> Result.value ~default:[]
 
 let encode_rids_file pairs =
-  let b = Buffer.create 64 in
-  Buffer.add_string b magic;
-  add_u32 b 0;
-  add_u32 b (List.length pairs);
-  List.iter
-    (fun (client, req) ->
-      add_u32 b client;
-      add_u64 b req)
-    pairs;
-  let body = Buffer.to_bytes b in
-  Bytes.set_int32_le body 4 (Codec.checksum body ~off:8 ~len:(Bytes.length body - 8));
-  Bytes.to_string body
+  let frame = seal ~magic (fun b -> add_rid_pairs b pairs) in
+  String.sub frame 4 (String.length frame - 4)
 
 let mkdir_p path =
   let rec go path =
@@ -363,37 +249,16 @@ let open_store ?(vfs = Vfs.real) ?(durable = true) ~dir ~site ~shards () =
   let shard_arr =
     Array.init shards (fun i ->
         let path = shard_path sdir i in
-        let torn, bad, applied = scan_shard_file ~read:vfs.Vfs.read spine rids path in
+        let torn, bad, applied, valid_prefix =
+          scan_shard_file ~read:vfs.Vfs.read spine rids path
+        in
         if torn then begin
           incr torn_shards;
           (* Cut the partial frame off before appending over it — a new
              record after a torn one would read as mid-log corruption on
              the next scan.  Only when nothing mid-log is damaged: a
              corrupt log is evidence and is left untouched. *)
-          if bad = 0 then begin
-            (* Re-derive the valid prefix length: sum of intact frames. *)
-            match vfs.Vfs.read path with
-            | exception Sys_error _ -> ()
-            | data ->
-                let raw = Bytes.of_string data in
-                let total = Bytes.length raw in
-                let pos = ref 0 in
-                (try
-                   while !pos < total do
-                     if !pos + 4 > total then raise Exit;
-                     let len =
-                       Int32.to_int (Bytes.get_int32_le raw !pos) land 0xFFFFFFFF
-                     in
-                     if len <= 0 || len > max_record || !pos + 4 + len > total
-                     then raise Exit;
-                     (match decode_record (Bytes.sub raw (!pos + 4) len) with
-                     | (_ : record) -> ()
-                     | exception Bad _ -> raise Exit);
-                     pos := !pos + 4 + len
-                   done
-                 with Exit -> ());
-                vfs.Vfs.truncate path !pos
-          end
+          if bad = 0 then vfs.Vfs.truncate path valid_prefix
         end;
         corrupt := !corrupt + bad;
         { path; file = None; records = applied; live = 0; dirty = false })
@@ -407,10 +272,7 @@ let open_store ?(vfs = Vfs.real) ?(durable = true) ~dir ~site ~shards () =
   (* The sidecar table (fetch-imported rids) merges over the log fold. *)
   (match vfs.Vfs.read (Filename.concat sdir "rids.dvr") with
   | exception Sys_error _ -> ()
-  | data -> (
-      match decode_rids_file data with
-      | Some pairs -> merge_rid_pairs rids pairs
-      | None -> ()));
+  | data -> merge_rid_pairs rids (decode_rids_file data));
   let t =
     {
       vfs;
@@ -565,6 +427,6 @@ let read_states ~dir ~site =
           ignore
             (scan_shard_file ~read:Vfs.real.Vfs.read spine rids
                (Filename.concat sdir name)
-              : bool * int * int))
+              : bool * int * int * int))
         shard_files);
   Hashtbl.fold (fun key packed acc -> (key, unpack packed) :: acc) spine []

@@ -7,8 +7,8 @@
     shard is a stable hash of its bytes.  Each committed record carries
     the key's full consistency state — operation number, ensemble
     version, partition, data version — plus the value bytes when they
-    changed and the request id that produced them, all framed and
-    checksummed in the oplog's style, so a torn tail is detected and
+    changed and the request id that produced them, each a
+    {!Dynvote.Codec} sealed record, so a torn tail is detected and
     dropped rather than trusted.
 
     In memory the store keeps a {e spine}: one packed (undecoded) blob
