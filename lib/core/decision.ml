@@ -53,27 +53,49 @@ type verdict = Granted of grant | Denied of denial
 
 let is_granted = function Granted _ -> true | Denied _ -> false
 
-(* Q = { r in R : o_r maximal }.  Returns (max_o, Q). *)
-let op_maxima states r =
-  Site_set.fold
-    (fun site ((best, set) as acc) ->
-      let o = Replica.op_no states.(site) in
-      if o > best then (o, Site_set.singleton site)
-      else if o = best then (best, Site_set.add site set)
-      else acc)
-    r
-    (min_int, Site_set.empty)
+(* Q = { r in R : o_r maximal } and S = { r in R : v_r maximal }, as bit
+   loops: top-level recursion over the members of R, no tuple, closure or
+   list, so a decision allocates only its verdict. *)
+let rec op_maxima states rest best set =
+  if Site_set.is_empty rest then set
+  else
+    let site = Site_set.min_elt rest in
+    let rest = Site_set.remove site rest in
+    let o = Replica.op_no states.(site) in
+    if o > best then op_maxima states rest o (Site_set.singleton site)
+    else if o = best then op_maxima states rest best (Site_set.add site set)
+    else op_maxima states rest best set
 
-(* S = { r in R : v_r maximal }. *)
-let version_maxima states r =
-  Site_set.fold
-    (fun site ((best, set) as acc) ->
-      let v = Replica.version states.(site) in
-      if v > best then (v, Site_set.singleton site)
-      else if v = best then (best, Site_set.add site set)
-      else acc)
-    r
-    (min_int, Site_set.empty)
+let rec version_maxima states rest best set =
+  if Site_set.is_empty rest then set
+  else
+    let site = Site_set.min_elt rest in
+    let rest = Site_set.remove site rest in
+    let v = Replica.version states.(site) in
+    if v > best then version_maxima states rest v (Site_set.singleton site)
+    else if v = best then version_maxima states rest best (Site_set.add site set)
+    else version_maxima states rest best set
+
+(* Does some member of [among] live on [segment]? *)
+let rec on_segment segment_of segment among =
+  (not (Site_set.is_empty among))
+  &&
+  let site = Site_set.min_elt among in
+  segment_of site = segment || on_segment segment_of segment (Site_set.remove site among)
+
+(* The members of [rest] that share a segment with some member of
+   [among] (when [shared]) or with none (when not [shared]), added to
+   [acc]. *)
+let rec by_segment segment_of ~shared ~among rest acc =
+  if Site_set.is_empty rest then acc
+  else
+    let site = Site_set.min_elt rest in
+    let rest' = Site_set.remove site rest in
+    let acc =
+      if on_segment segment_of (segment_of site) among = shared then Site_set.add site acc
+      else acc
+    in
+    by_segment segment_of ~shared ~among rest' acc
 
 (* T: members of P_m sharing a segment with a live reachable member of
    P_m (paper §3 prose; each live member claims the votes of its dead
@@ -92,11 +114,7 @@ let version_maxima states r =
    always count themselves. *)
 let claimed_votes ~segment_of ~p_m ~r ~fresh ~q =
   let sponsors = Site_set.inter (Site_set.inter p_m r) fresh in
-  let sponsor_segments =
-    Site_set.fold (fun site acc -> segment_of site :: acc) sponsors []
-  in
-  Site_set.union q
-    (Site_set.filter (fun site -> List.mem (segment_of site) sponsor_segments) p_m)
+  by_segment segment_of ~shared:true ~among:sponsors p_m q
 
 (* The rival-lineage guard of the safe topological flavor.
 
@@ -118,21 +136,10 @@ let claimed_votes ~segment_of ~p_m ~r ~fresh ~q =
 let rival_claimants ~segment_of ~ordering ~p_m ~r ~q ~fresh =
   let d = Site_set.diff p_m r in
   let witnesses = Site_set.inter q fresh in
-  let witness_segments =
-    Site_set.fold (fun site acc -> segment_of site :: acc) witnesses []
-  in
-  let d_eff =
-    Site_set.filter (fun i -> not (List.mem (segment_of i) witness_segments)) d
-  in
+  let d_eff = by_segment segment_of ~shared:false ~among:witnesses d Site_set.empty in
   if Site_set.is_empty d_eff then None
   else begin
-    let rival_segments =
-      Site_set.fold (fun site acc -> segment_of site :: acc) d_eff []
-    in
-    let rival =
-      Site_set.union d_eff
-        (Site_set.filter (fun j -> List.mem (segment_of j) rival_segments) p_m)
-    in
+    let rival = by_segment segment_of ~shared:true ~among:d_eff p_m d_eff in
     let have = 2 * Site_set.cardinal rival in
     let size = Site_set.cardinal p_m in
     if
@@ -148,8 +155,8 @@ let evaluate flavor ~ordering ~segment_of ?fresh ~states ~reachable:r () =
     (* Without [safe_claims] every live site may sponsor claims, exactly as
        the paper's figures read. *)
     let fresh = if flavor.safe_claims then Option.value fresh ~default:r else r in
-    let _, q = op_maxima states r in
-    let _, s = version_maxima states r in
+    let q = op_maxima states r min_int Site_set.empty in
+    let s = version_maxima states r min_int Site_set.empty in
     let m = Site_set.min_elt q in
     let p_m = Replica.partition states.(m) in
     let claimed =
@@ -187,9 +194,9 @@ let evaluate flavor ~ordering ~segment_of ?fresh ~states ~reachable:r () =
           (not flavor.topological)
           || (not flavor.safe_claims)
           || Site_set.mem max_element fresh
-          || Site_set.for_all
-               (fun j -> j = max_element || segment_of j <> segment_of max_element)
-               p_m
+          || not
+               (on_segment segment_of (segment_of max_element)
+                  (Site_set.remove max_element p_m))
         in
         if Site_set.mem max_element q && claim_proof then
           Granted { q; s; m; p_m; claimed }

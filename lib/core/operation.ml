@@ -24,12 +24,14 @@ let evaluate ctx states ?fresh ~reachable () =
   Decision.evaluate ctx.flavor ~ordering:ctx.ordering ~segment_of:ctx.segment_of ?fresh
     ~states ~reachable ()
 
-(* COMMIT(recipients, o, v, P): install the new ensemble at [recipients]. *)
-let commit states ~recipients ~op_no ~version ~partition =
-  Site_set.iter
-    (fun site ->
-      states.(site) <- Replica.with_commit states.(site) ~op_no ~version ~partition)
-    recipients
+(* COMMIT(recipients, o, v, P): install the new ensemble at [recipients],
+   one bit at a time (no closure). *)
+let rec commit states ~recipients ~op_no ~version ~partition =
+  if not (Site_set.is_empty recipients) then begin
+    let site = Site_set.min_elt recipients in
+    states.(site) <- Replica.with_commit states.(site) ~op_no ~version ~partition;
+    commit states ~recipients:(Site_set.remove site recipients) ~op_no ~version ~partition
+  end
 
 let read ctx states ?fresh ~reachable () =
   match evaluate ctx states ?fresh ~reachable () with
@@ -66,6 +68,20 @@ let recover ctx states ?fresh ~site:l ~reachable () =
       commit states ~recipients ~op_no:(o + 1) ~version:v ~partition:recipients;
       verdict
 
+(* Recover every site of [stale] in turn, lowest id first. *)
+let rec recover_stale ctx states ?fresh ~reachable stale =
+  if not (Site_set.is_empty stale) then begin
+    let l = Site_set.min_elt stale in
+    (match recover ctx states ?fresh ~site:l ~reachable () with
+    | Decision.Granted _ -> ()
+    | Decision.Denied d ->
+        (* Unreachable in practice: once the read succeeded the component
+           *is* the majority partition and every recovery within it must
+           also succeed. *)
+        Fmt.failwith "Operation.refresh: recovery of %d denied (%a)" l Decision.pp_denial d);
+    recover_stale ctx states ?fresh ~reachable (Site_set.remove l stale)
+  end
+
 (* One read, then recovery of every reachable out-of-date copy.  When
    granted, every site of [reachable] ends current with partition set
    [reachable]. *)
@@ -73,16 +89,5 @@ let refresh ctx states ?fresh ~reachable () =
   match read ctx states ?fresh ~reachable () with
   | Decision.Denied _ as verdict -> verdict
   | Decision.Granted g as verdict ->
-      let stale = Site_set.diff reachable g.Decision.s in
-      Site_set.iter
-        (fun l ->
-          match recover ctx states ?fresh ~site:l ~reachable () with
-          | Decision.Granted _ -> ()
-          | Decision.Denied d ->
-              (* Unreachable in practice: once the read succeeded the
-                 component *is* the majority partition and every recovery
-                 within it must also succeed. *)
-              Fmt.failwith "Operation.refresh: recovery of %d denied (%a)" l
-                Decision.pp_denial d)
-        stale;
+      recover_stale ctx states ?fresh ~reachable (Site_set.diff reachable g.Decision.s);
       verdict

@@ -68,7 +68,14 @@ type t = {
   (* Sites continuously up since their last commit — the sponsors allowed
      to claim dead same-segment votes under TDV/OTDV (see Decision). *)
   mutable fresh : Site_set.t;
+  (* The view the last [handle_topology_change] refreshed (DV/LDV/TDV)
+     and whether that refresh granted; see [is_available]. *)
+  mutable settled_view : view;
+  mutable settled : bool;
 }
+
+(* No component, so no grant: the answer [settled] starts with. *)
+let no_view = { components = [] }
 
 let create ?flavor ?(recovery = `At_access) kind ~universe ~n_sites ~segment_of ~ordering =
   if Site_set.is_empty universe then invalid_arg "Policy.create: empty universe";
@@ -85,6 +92,8 @@ let create ?flavor ?(recovery = `At_access) kind ~universe ~n_sites ~segment_of 
     majority = (Site_set.cardinal universe / 2) + 1;
     recovery;
     fresh = universe;
+    settled_view = no_view;
+    settled = false;
   }
 
 let kind t = t.kind
@@ -93,13 +102,8 @@ let fresh t = t.fresh
 let states t = t.states
 let replica t site = t.states.(site)
 
-(* The components restricted to copy-holding sites, empty ones dropped. *)
-let copy_components t view =
-  List.filter_map
-    (fun component ->
-      let copies = Site_set.inter component t.universe in
-      if Site_set.is_empty copies then None else Some copies)
-    view.components
+(* The walks below visit the view's components directly, each restricted
+   to the copy-holding sites, without building an intermediate list. *)
 
 (* Static majority consensus.  With an even number of copies an exact half
    is resolved in favour of the group holding the ordering's maximum site
@@ -107,36 +111,49 @@ let copy_components t view =
    paper's four-copy MCV figures are only consistent with this rule —
    strict 3-of-4 would leave configuration F unavailable for every site 4
    outage, far above the 0.0028 reported). *)
-let mcv_available t view =
-  let total = Site_set.cardinal t.universe in
-  List.exists
-    (fun copies ->
+let rec mcv_majority t total = function
+  | [] -> false
+  | component :: rest ->
+      let copies = Site_set.inter component t.universe in
       let have = Site_set.cardinal copies in
       2 * have > total
       || (2 * have = total
-         && Site_set.mem (Ordering.max_element t.ctx.Operation.ordering t.universe) copies))
-    (copy_components t view)
+         && Site_set.mem (Ordering.max_element t.ctx.Operation.ordering t.universe) copies)
+      || mcv_majority t total rest
+
+let mcv_available t view = mcv_majority t (Site_set.cardinal t.universe) view.components
 
 (* Run a refresh attempt in every component; the mutual-exclusion property
    of the decision rule guarantees at most one grant.  A grant freshens
    every participant (they all just committed).  Returns whether any
    component was granted. *)
-let refresh_all t view =
-  List.fold_left
-    (fun granted copies ->
-      match Operation.refresh t.ctx t.states ~fresh:t.fresh ~reachable:copies () with
-      | Decision.Granted _ ->
-          t.fresh <- Site_set.union t.fresh copies;
-          true
-      | Decision.Denied _ -> granted)
-    false (copy_components t view)
+let rec refresh_components t granted = function
+  | [] -> granted
+  | component :: rest ->
+      let copies = Site_set.inter component t.universe in
+      let granted =
+        if Site_set.is_empty copies then granted
+        else
+          match Operation.refresh t.ctx t.states ~fresh:t.fresh ~reachable:copies () with
+          | Decision.Granted _ ->
+              t.fresh <- Site_set.union t.fresh copies;
+              true
+          | Decision.Denied _ -> granted
+      in
+      refresh_components t granted rest
 
-let probe t view =
-  List.exists
-    (fun copies ->
-      Decision.is_granted
-        (Operation.evaluate t.ctx t.states ~fresh:t.fresh ~reachable:copies ()))
-    (copy_components t view)
+let refresh_all t view = refresh_components t false view.components
+
+let rec probe_components t = function
+  | [] -> false
+  | component :: rest ->
+      let copies = Site_set.inter component t.universe in
+      ((not (Site_set.is_empty copies))
+      && Decision.is_granted
+           (Operation.evaluate t.ctx t.states ~fresh:t.fresh ~reachable:copies ()))
+      || probe_components t rest
+
+let probe t view = probe_components t view.components
 
 (* A crashed site loses its freshness until it participates in a commit
    again; this is local knowledge ("I rebooted"), independent of the
@@ -153,7 +170,9 @@ let handle_topology_change t view =
   note_up_set t view;
   match t.kind with
   | Mcv | Odv | Otdv -> ()
-  | Dv | Ldv | Tdv -> ignore (refresh_all t view)
+  | Dv | Ldv | Tdv ->
+      t.settled <- refresh_all t view;
+      t.settled_view <- view
 
 (* A file access.  For optimistic policies this is when quorums adjust. *)
 let handle_access t view =
@@ -189,9 +208,19 @@ let handle_repair t view ~site =
       end
 
 (* Would an access succeed right now?  Pure: no state change, so usable as
-   the availability indicator between events. *)
+   the availability indicator between events.
+
+   The settled-refresh rule: for DV/LDV/TDV, on the very view (physically)
+   that the last [handle_topology_change] refreshed, the answer is that
+   refresh's result, with no probe.  This is exact.  A granted refresh of
+   component C leaves every copy in C at one (o, v, P = C), so the probe
+   on C grants.  A refresh with no grant committed nothing and left
+   [fresh] as it was, so the probe would repeat the same denials. *)
 let is_available t view =
-  match t.kind with Mcv -> mcv_available t view | _ -> probe t view
+  match t.kind with
+  | Mcv -> mcv_available t view
+  | (Dv | Ldv | Tdv) when view == t.settled_view -> t.settled
+  | Dv | Ldv | Tdv | Odv | Otdv -> probe t view
 
 let pp_states ?names ppf t =
   let pp_replica =

@@ -49,6 +49,9 @@ val create :
 val kind : t -> kind
 val universe : t -> Site_set.t
 val states : t -> Replica.t array
+(** The live state array, for inspection.  Writing to it bypasses the
+    policy: {!is_available}'s settled answer would then be stale. *)
+
 val replica : t -> Site_set.site -> Replica.t
 
 val fresh : t -> Site_set.t
@@ -70,6 +73,9 @@ val handle_repair : t -> view -> site:Site_set.site -> unit
     site's RECOVER immediately. *)
 
 val is_available : t -> view -> bool
-(** Pure probe: would an access succeed now?  Never mutates state. *)
+(** Pure probe: would an access succeed now?  Never mutates state.  For
+    DV/LDV/TDV, on the very view (physically equal) that the last
+    {!handle_topology_change} refreshed, the answer is that refresh's
+    result, with no probe — exactly what a probe would return. *)
 
 val pp_states : ?names:string array -> Format.formatter -> t -> unit

@@ -50,32 +50,33 @@ let cardinal t =
   let rec go n acc = if n = 0 then acc else go (n land (n - 1)) (acc + 1) in
   go t 0
 
+(* The iterators below are top-level recursions, not local closures over
+   [t] or [f], so they allocate nothing themselves. *)
+let rec lowest t i = if t land (1 lsl i) <> 0 then i else lowest t (i + 1)
+
+let rec highest t i = if t land (1 lsl i) <> 0 then i else highest t (i - 1)
+
 let min_elt t =
   if t = 0 then raise Not_found;
-  let rec go i = if t land (1 lsl i) <> 0 then i else go (i + 1) in
-  go 0
+  lowest t 0
 
 let max_elt t =
   if t = 0 then raise Not_found;
-  let rec go i = if t land (1 lsl i) <> 0 then i else go (i - 1) in
-  go (max_sites - 1)
+  highest t (max_sites - 1)
 
 let choose = min_elt
 
-let fold f t init =
-  let rec go rest acc =
-    if rest = 0 then acc
-    else
-      let i = min_elt rest in
-      go (rest land (rest - 1)) (f i acc)
-  in
-  go t init
+let rec fold f t acc = if t = 0 then acc else fold f (t land (t - 1)) (f (lowest t 0) acc)
 
-let iter f t = fold (fun i () -> f i) t ()
+let rec iter f t =
+  if t <> 0 then begin
+    f (lowest t 0);
+    iter f (t land (t - 1))
+  end
 
-let for_all p t = fold (fun i acc -> acc && p i) t true
+let rec for_all p t = t = 0 || (p (lowest t 0) && for_all p (t land (t - 1)))
 
-let exists p t = fold (fun i acc -> acc || p i) t false
+let rec exists p t = t <> 0 && (p (lowest t 0) || exists p (t land (t - 1)))
 
 let filter p t = fold (fun i acc -> if p i then add i acc else acc) t empty
 

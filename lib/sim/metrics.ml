@@ -7,98 +7,107 @@
    state); afterwards the run is cut into fixed-length batches whose
    per-batch unavailabilities feed a batch-means confidence interval. *)
 
-type t = {
+(* The float state lives in a float-only record, which OCaml stores
+   flat: updating it never boxes. *)
+type clock = {
   warmup : float;
   batch_length : float;
-  batch_means : Dynvote_stats.Batch_means.t;
   mutable now : float;
-  mutable available : bool;
-  (* Accumulators for the batch in progress. *)
+  (* Accumulator for the batch in progress. *)
   mutable batch_start : float;
   mutable batch_unavailable : float;
   (* Whole-run tallies (post-warmup). *)
   mutable unavailable_time : float;
   mutable observed_time : float;
-  mutable outages : int; (* completed or ongoing unavailable periods *)
   mutable current_stretch_start : float; (* start of current up stretch *)
   mutable longest_up : float;
-  outage_durations : Dynvote_stats.Welford.t;
   mutable current_outage_start : float;
+}
+
+type t = {
+  clock : clock;
+  batch_means : Dynvote_stats.Batch_means.t;
+  mutable available : bool;
+  mutable outages : int; (* completed or ongoing unavailable periods *)
+  outage_durations : Dynvote_stats.Welford.t;
 }
 
 let create ?(warmup = 360.0) ~batch_length () =
   if warmup < 0.0 then invalid_arg "Metrics.create: negative warmup";
   if batch_length <= 0.0 then invalid_arg "Metrics.create: batch_length must be positive";
   {
-    warmup;
-    batch_length;
+    clock =
+      {
+        warmup;
+        batch_length;
+        now = 0.0;
+        batch_start = warmup;
+        batch_unavailable = 0.0;
+        unavailable_time = 0.0;
+        observed_time = 0.0;
+        current_stretch_start = 0.0;
+        longest_up = 0.0;
+        current_outage_start = nan;
+      };
     batch_means = Dynvote_stats.Batch_means.create ~batch_length;
-    now = 0.0;
     available = true;
-    batch_start = warmup;
-    batch_unavailable = 0.0;
-    unavailable_time = 0.0;
-    observed_time = 0.0;
     outages = 0;
-    current_stretch_start = 0.0;
-    longest_up = 0.0;
     outage_durations = Dynvote_stats.Welford.create ();
-    current_outage_start = nan;
   }
 
-let now t = t.now
+let now t = t.clock.now
 let is_available t = t.available
 
 (* Integrate the current indicator over [t.now, upto], slicing the interval
-   at batch boundaries so each batch receives exactly its share. *)
+   at batch boundaries so each batch receives exactly its share.  A loop
+   over a local float, so the common case of one slice allocates
+   nothing. *)
 let advance t ~upto =
-  if upto < t.now then invalid_arg "Metrics.advance: time going backwards";
-  let rec consume from =
-    if from >= upto then ()
-    else if from < t.warmup then consume (Float.min upto t.warmup)
-    else begin
-      let batch_end = t.batch_start +. t.batch_length in
-      let upto' = Float.min upto batch_end in
-      let span = upto' -. from in
-      t.observed_time <- t.observed_time +. span;
-      if not t.available then begin
-        t.batch_unavailable <- t.batch_unavailable +. span;
-        t.unavailable_time <- t.unavailable_time +. span
-      end;
-      if upto' >= batch_end then begin
-        Dynvote_stats.Batch_means.add_batch t.batch_means
-          (t.batch_unavailable /. t.batch_length);
-        t.batch_start <- batch_end;
-        t.batch_unavailable <- 0.0
-      end;
-      consume upto'
-    end
-  in
-  consume t.now;
-  t.now <- upto
+  let c = t.clock in
+  if upto < c.now then invalid_arg "Metrics.advance: time going backwards";
+  let from = ref (if c.now < c.warmup then Float.min upto c.warmup else c.now) in
+  while !from < upto do
+    let batch_end = c.batch_start +. c.batch_length in
+    let upto' = Float.min upto batch_end in
+    let span = upto' -. !from in
+    c.observed_time <- c.observed_time +. span;
+    if not t.available then begin
+      c.batch_unavailable <- c.batch_unavailable +. span;
+      c.unavailable_time <- c.unavailable_time +. span
+    end;
+    if upto' >= batch_end then begin
+      Dynvote_stats.Batch_means.add_batch t.batch_means
+        (c.batch_unavailable /. c.batch_length);
+      c.batch_start <- batch_end;
+      c.batch_unavailable <- 0.0
+    end;
+    from := upto'
+  done;
+  c.now <- upto
 
 let set_available t available =
+  let c = t.clock in
   if available <> t.available then begin
     if available then begin
       (* Outage ends.  Duration statistics only cover outages that started
          after the warm-up, matching the [outages] counter. *)
       if
-        (not (Float.is_nan t.current_outage_start))
-        && t.current_outage_start >= t.warmup
+        (not (Float.is_nan c.current_outage_start))
+        && c.current_outage_start >= c.warmup
       then
-        Dynvote_stats.Welford.add t.outage_durations (t.now -. t.current_outage_start);
-      t.current_outage_start <- nan;
-      t.current_stretch_start <- t.now
+        Dynvote_stats.Welford.add t.outage_durations (c.now -. c.current_outage_start);
+      c.current_outage_start <- nan;
+      c.current_stretch_start <- c.now
     end
     else begin
       (* Up stretch ends; outage begins. *)
-      let stretch = t.now -. t.current_stretch_start in
-      if stretch > t.longest_up then t.longest_up <- stretch;
-      if t.now >= t.warmup then begin
+      let stretch = c.now -. c.current_stretch_start in
+      if stretch > c.longest_up then c.longest_up <- stretch;
+      if c.now >= c.warmup then begin
         t.outages <- t.outages + 1;
-        t.current_outage_start <- t.now
+        c.current_outage_start <- c.now
       end
-      else t.current_outage_start <- t.now
+      else c.current_outage_start <- c.now
     end;
     t.available <- available
   end
@@ -106,12 +115,13 @@ let set_available t available =
 let finish t ~upto =
   advance t ~upto;
   if t.available then begin
-    let stretch = t.now -. t.current_stretch_start in
-    if stretch > t.longest_up then t.longest_up <- stretch
+    let stretch = t.clock.now -. t.clock.current_stretch_start in
+    if stretch > t.clock.longest_up then t.clock.longest_up <- stretch
   end
 
 let unavailability t =
-  if t.observed_time = 0.0 then nan else t.unavailable_time /. t.observed_time
+  let c = t.clock in
+  if c.observed_time = 0.0 then nan else c.unavailable_time /. c.observed_time
 
 let interval ?confidence t = Dynvote_stats.Batch_means.interval ?confidence t.batch_means
 
@@ -119,15 +129,15 @@ let batch_means t = t.batch_means
 
 let outages t = t.outages
 
-let unavailable_time t = t.unavailable_time
+let unavailable_time t = t.clock.unavailable_time
 
-let observed_time t = t.observed_time
+let observed_time t = t.clock.observed_time
 
 (* Mean duration of unavailable periods, in days (Table 3).  NaN when the
    file never became unavailable. *)
 let mean_outage_duration t =
-  if t.outages = 0 then nan else t.unavailable_time /. float_of_int t.outages
+  if t.outages = 0 then nan else t.clock.unavailable_time /. float_of_int t.outages
 
 let outage_duration_stats t = t.outage_durations
 
-let longest_up t = t.longest_up
+let longest_up t = t.clock.longest_up

@@ -15,7 +15,22 @@
    the *next* topology change.  So it suffices to apply, per instance, the
    first access epoch that falls between two consecutive transitions,
    evaluated against the old connectivity.  This makes the cost per
-   transition O(instances) regardless of the access rate. *)
+   transition O(instances) regardless of the access rate.
+
+   The trace is generated once per run, in chunks of [chunk_size]
+   transitions held in flat buffers reused from chunk to chunk: each
+   transition's time, its site, direction and access-due flag, and the
+   view after it.  Views are memoized by up-set, so equal up-sets share
+   one physical view and [Connectivity.view] runs once per distinct
+   up-set; the instantaneous policies' settled-refresh rule
+   ({!Policy.is_available}) then answers the indicator without a probe.
+   Only the evaluation fans out: every chunk runs each group of instances
+   as one {!Dynvote_exec.Pool} task, and each group carries its view
+   across chunk boundaries.  [run] makes every cell its own group;
+   [run_drivers] keeps all drivers in one group, so [observe] reports
+   changes in transition order, then in driver order.  Instances never
+   interact and each sees the same transitions in the same order, so
+   every cell is bit-identical whatever the number of jobs. *)
 
 module Event_gen = Dynvote_failures.Event_gen
 module Site_spec = Dynvote_failures.Site_spec
@@ -52,13 +67,12 @@ type result = {
   observed_days : float;
 }
 
-type 'key instance = {
-  key : 'key;
-  driver : Driver.t;
-  metrics : Metrics.t;
-  mutable pending_access : float; (* next access epoch to apply; infinity = none *)
-  mutable last_available : bool;
-}
+type 'key instance = { key : 'key; driver : Driver.t; metrics : Metrics.t }
+
+(* Instances replayed together, in order, as one pool task per chunk;
+   [view] is the view in effect before the chunk's first transition,
+   carried across chunk boundaries. *)
+type 'key group = { members : 'key instance array; mutable view : Policy.view }
 
 let validate p =
   if p.horizon <= p.warmup then invalid_arg "Study: horizon must exceed warmup";
@@ -81,122 +95,196 @@ let summarize metrics =
     observed_days = Metrics.observed_time metrics;
   }
 
-(* The shared simulation loop: replay the failure trace, keeping every
-   instance's availability indicator and quorum state up to date. *)
-let simulate ~parameters ~topology ~specs ~instances ?progress ?observe () =
-  validate parameters;
+(* Transitions per chunk: large enough that the per-chunk fan-out barrier
+   is rare, small enough that the buffers stay a few tens of kilobytes
+   whatever the horizon. *)
+let chunk_size = 4096
+
+(* One chunk of the trace: transition [i] happens at [times.(i)], moves
+   site [steps.(i) lsr 2] up ([now_up] bit set) or down, and leaves the
+   network in [views.(i)].  The [access_due] bit marks an access epoch
+   strictly between the previous transition and this one: the optimistic
+   policies' access, applied against the old view. *)
+type chunk = {
+  times : Float.Array.t;
+  steps : int array;
+  views : Policy.view array;
+  mutable length : int;
+}
+
+let now_up_bit = 1
+let access_due_bit = 2
+
+type trace = {
+  generator : Event_gen.t;
+  connectivity : Dynvote_net.Connectivity.t;
+  memo : (Site_set.t, Policy.view) Hashtbl.t;
+  horizon : float;
+  access_interval : float;
+  mutable next_access : float; (* first access epoch after the last transition *)
+  mutable up : Site_set.t;
+  mutable finished : bool;
+}
+
+let view_of trace up =
+  match Hashtbl.find_opt trace.memo up with
+  | Some view -> view
+  | None ->
+      let view = Dynvote_net.Connectivity.view trace.connectivity ~up in
+      Hashtbl.add trace.memo up view;
+      view
+
+(* Refill [chunk] with the next transitions before the horizon. *)
+let fill trace chunk =
+  chunk.length <- 0;
+  while (not trace.finished) && chunk.length < chunk_size do
+    let transition = Event_gen.next trace.generator in
+    let time = transition.Event_gen.time in
+    if time >= trace.horizon then trace.finished <- true
+    else begin
+      let i = chunk.length and site = transition.Event_gen.site in
+      let now_up = transition.Event_gen.now_up in
+      trace.up <-
+        (if now_up then Site_set.add site trace.up else Site_set.remove site trace.up);
+      Float.Array.set chunk.times i time;
+      chunk.steps.(i) <-
+        (site lsl 2)
+        lor (if now_up then now_up_bit else 0)
+        lor if trace.next_access < time then access_due_bit else 0;
+      chunk.views.(i) <- view_of trace trace.up;
+      trace.next_access <- next_access_epoch ~interval:trace.access_interval time;
+      chunk.length <- i + 1
+    end
+  done
+
+(* Replay one chunk through one group, keeping every member's
+   availability indicator and quorum state up to date. *)
+let evaluate ~observe chunk group =
+  let members = group.members in
+  let before = ref group.view in
+  for i = 0 to chunk.length - 1 do
+    let time = Float.Array.get chunk.times i in
+    let step = chunk.steps.(i) and view = chunk.views.(i) in
+    for k = 0 to Array.length members - 1 do
+      let inst = members.(k) in
+      let driver = inst.driver in
+      (* 1. Apply the access epoch that fell before this transition, if
+            any, against the old connectivity. *)
+      if step land access_due_bit <> 0 && driver.Driver.optimistic then
+        ignore (driver.Driver.on_access !before);
+      (* 2. Integrate the indicator up to the transition. *)
+      Metrics.advance inst.metrics ~upto:time;
+      (* 3. Let the policy react and re-evaluate the indicator. *)
+      driver.Driver.on_topology_change view;
+      if step land now_up_bit <> 0 then driver.Driver.on_repair view (step lsr 2);
+      let available = driver.Driver.available view in
+      if available <> Metrics.is_available inst.metrics then begin
+        Metrics.set_available inst.metrics available;
+        match observe with Some f -> f inst.key ~time ~available | None -> ()
+      end
+    done;
+    before := view
+  done;
+  group.view <- !before
+
+(* The shared simulation loop: generate the trace chunk by chunk and
+   replay each chunk through every group.  [progress] fires between
+   chunks, from the calling domain. *)
+let simulate ~(parameters : parameters) ~topology ~specs ~jobs ~groups ?progress ?observe
+    () =
   if Array.length specs <> Dynvote_net.Topology.n_sites topology then
     invalid_arg "Study: one site spec per topology site required";
-  let generator = Event_gen.create ~seed:parameters.seed specs in
-  let connectivity = Dynvote_net.Connectivity.create topology in
-  let up = ref (Dynvote_net.Topology.all_sites topology) in
-  let view = ref (Dynvote_net.Connectivity.view connectivity ~up:!up) in
   let horizon = parameters.horizon in
+  let trace =
+    {
+      generator = Event_gen.create ~seed:parameters.seed specs;
+      connectivity = Dynvote_net.Connectivity.create topology;
+      memo = Hashtbl.create 64;
+      horizon;
+      access_interval = parameters.access_interval;
+      next_access = infinity;
+      up = Dynvote_net.Topology.all_sites topology;
+      finished = false;
+    }
+  in
+  let initial = view_of trace trace.up in
+  let chunk =
+    {
+      times = Float.Array.make chunk_size 0.0;
+      steps = Array.make chunk_size 0;
+      views = Array.make chunk_size initial;
+      length = 0;
+    }
+  in
+  let groups = Array.map (fun members -> { members; view = initial }) groups in
   let progress_step = horizon /. 100.0 in
   let next_progress = ref progress_step in
-  let rec loop () =
-    let transition = Event_gen.next generator in
-    let time = transition.Event_gen.time in
-    if time >= horizon then ()
-    else begin
-      (* 1. Apply any access epoch that fell before this transition,
-            against the old connectivity. *)
-      List.iter
-        (fun inst ->
-          if inst.pending_access < time then begin
-            ignore (inst.driver.Driver.on_access !view);
-            inst.pending_access <- infinity
-          end)
-        instances;
-      (* 2. Integrate the indicator up to the transition. *)
-      List.iter (fun inst -> Metrics.advance inst.metrics ~upto:time) instances;
-      (* 3. Apply the transition. *)
-      up :=
-        if transition.Event_gen.now_up then Site_set.add transition.Event_gen.site !up
-        else Site_set.remove transition.Event_gen.site !up;
-      view := Dynvote_net.Connectivity.view connectivity ~up:!up;
-      (* 4. Let policies react and re-evaluate the indicator. *)
-      List.iter
-        (fun inst ->
-          inst.driver.Driver.on_topology_change !view;
-          if transition.Event_gen.now_up then
-            inst.driver.Driver.on_repair !view transition.Event_gen.site;
-          let available = inst.driver.Driver.available !view in
-          Metrics.set_available inst.metrics available;
-          (match observe with
-          | Some f when available <> inst.last_available -> f inst.key ~time ~available
-          | _ -> ());
-          inst.last_available <- available;
-          if inst.driver.Driver.optimistic then
-            inst.pending_access <-
-              next_access_epoch ~interval:parameters.access_interval time)
-        instances;
-      (match progress with
-      | Some f when time >= !next_progress ->
-          f ~completed:time ~total:horizon;
-          next_progress := !next_progress +. progress_step
-      | _ -> ());
-      loop ()
-    end
-  in
-  loop ();
-  List.iter (fun inst -> Metrics.finish inst.metrics ~upto:horizon) instances
+  Pool.with_pool ~jobs (fun pool ->
+      fill trace chunk;
+      while chunk.length > 0 do
+        ignore (Pool.map_array pool (evaluate ~observe chunk) groups);
+        let last = Float.Array.get chunk.times (chunk.length - 1) in
+        (match progress with
+        | Some f when last >= !next_progress ->
+            f ~completed:last ~total:horizon;
+            while !next_progress <= last do
+              next_progress := !next_progress +. progress_step
+            done
+        | _ -> ());
+        fill trace chunk
+      done);
+  Array.iter
+    (fun group ->
+      Array.iter (fun inst -> Metrics.finish inst.metrics ~upto:horizon) group.members)
+    groups
 
-let make_instance ~warmup ~batch_length ~key driver =
-  {
-    key;
-    driver;
-    metrics = Metrics.create ~warmup ~batch_length ();
-    pending_access = infinity;
-    last_available = true;
-  }
+(* Every cell is its own group, so the pool's cursor balances them.  The
+   cursor hands groups out in array order, and groups claimed together run
+   at the same time on different domains; cells built one after another
+   sit next to each other in memory, and two domains writing neighbouring
+   cells every transition would fight over shared cache lines.  So deal
+   the cells out in [jobs] interleaved runs: consecutive groups are
+   [n / jobs] cells apart. *)
+let dealt ~jobs instances =
+  let stride = (Array.length instances + jobs - 1) / jobs in
+  List.init (Array.length instances) Fun.id
+  |> List.stable_sort (fun a b -> compare (a mod stride) (b mod stride))
+  |> List.map (fun i -> [| instances.(i) |])
+  |> Array.of_list
 
-let batch_length_of parameters =
+let batch_length_of (parameters : parameters) =
   (parameters.horizon -. parameters.warmup) /. float_of_int parameters.batches
 
-(* Run arbitrary drivers: [make] receives the topology-derived context and
-   builds the keyed driver list. *)
-let run_drivers ?(parameters = default_parameters) ?(specs = Site_spec.ucsd_sites)
-    ?(topology = Dynvote_net.Topology.ucsd) ?progress ?observe ~drivers () =
+let instances_of (parameters : parameters) drivers =
   validate parameters;
   let batch_length = batch_length_of parameters in
-  let instances =
-    List.map
-      (fun (key, driver) ->
-        make_instance ~warmup:parameters.warmup ~batch_length ~key driver)
-      drivers
-  in
-  simulate ~parameters ~topology ~specs ~instances ?progress ?observe ();
-  List.map (fun inst -> (inst.key, summarize inst.metrics)) instances
+  Array.of_list
+    (List.map
+       (fun (key, driver) ->
+         {
+           key;
+           driver;
+           metrics = Metrics.create ~warmup:parameters.warmup ~batch_length ();
+         })
+       drivers)
 
-(* Parallel fan-out happens per configuration: every (configuration x
-   policy) cell of a task replays the same deterministic failure trace a
-   sequential run would (the generator is rebuilt from the same seed in
-   each task, and instances never interact), so per-cell results are
-   bit-identical whatever [jobs] is — only wall-clock changes. *)
-let rec run ?(parameters = default_parameters) ?(kinds = Policy.all_kinds)
+let summaries instances =
+  Array.to_list (Array.map (fun inst -> (inst.key, summarize inst.metrics)) instances)
+
+(* Run arbitrary drivers as one group, so [observe] sees every instance's
+   changes in transition order, then in driver order. *)
+let run_drivers ?(parameters = default_parameters) ?(specs = Site_spec.ucsd_sites)
+    ?(topology = Dynvote_net.Topology.ucsd) ?progress ?observe ~drivers () =
+  let instances = instances_of parameters drivers in
+  simulate ~parameters ~topology ~specs ~jobs:1 ~groups:[| instances |] ?progress ?observe ();
+  summaries instances
+
+let run ?(parameters = default_parameters) ?(kinds = Policy.all_kinds)
     ?(configs = Config.ucsd_configurations) ?(specs = Site_spec.ucsd_sites)
     ?(topology = Dynvote_net.Topology.ucsd) ?ordering ?recovery ?progress ?(jobs = 1)
     () =
-  if jobs > 1 && List.length configs > 1 then
-    Pool.with_pool ~jobs (fun pool ->
-        Pool.map_list pool
-          (fun config ->
-            run ~parameters ~kinds ~configs:[ config ] ~specs ~topology ?ordering
-              ?recovery ())
-          configs)
-    |> List.concat
-  else run_sequential ~parameters ~kinds ~configs ~specs ~topology ?ordering ?recovery
-         ?progress ()
-
-and run_sequential ~parameters ~kinds ~configs ~specs ~topology ?ordering ?recovery
-    ?progress () =
-  let ordering =
-    match ordering with
-    | Some o -> o
-    | None -> Ordering.default (Dynvote_net.Topology.n_sites topology)
-  in
   let n_sites = Dynvote_net.Topology.n_sites topology in
+  let ordering = match ordering with Some o -> o | None -> Ordering.default n_sites in
   let segment_of = Dynvote_net.Topology.segment_of topology in
   let drivers =
     List.concat_map
@@ -211,18 +299,22 @@ and run_sequential ~parameters ~kinds ~configs ~specs ~topology ?ordering ?recov
           kinds)
       configs
   in
-  run_drivers ~parameters ~specs ~topology ?progress ~drivers ()
-  |> List.map (fun ((config, kind), (s : summary)) ->
-         {
-           config;
-           kind;
-           interval = s.interval;
-           unavailability = s.unavailability;
-           mean_outage_days = s.mean_outage_days;
-           outages = s.outages;
-           longest_up_days = s.longest_up_days;
-           observed_days = s.observed_days;
-         })
+  let instances = instances_of parameters drivers in
+  let jobs = max 1 jobs in
+  simulate ~parameters ~topology ~specs ~jobs ~groups:(dealt ~jobs instances) ?progress ();
+  List.map
+    (fun ((config, kind), (s : summary)) ->
+      {
+        config;
+        kind;
+        interval = s.interval;
+        unavailability = s.unavailability;
+        mean_outage_days = s.mean_outage_days;
+        outages = s.outages;
+        longest_up_days = s.longest_up_days;
+        observed_days = s.observed_days;
+      })
+    (summaries instances)
 
 (* Independent replications: re-run the whole study under several seeds
    and pool each cell across replications.  Complements batch means: batch

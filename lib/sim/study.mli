@@ -49,7 +49,8 @@ val run_drivers :
 (** Run arbitrary policy drivers (extensions, ablations) against the same
     failure trace; results are keyed by the caller's keys, in order.
     [observe] fires at every change of an instance's availability
-    indicator (used by {!Timeline}). *)
+    indicator (used by {!Timeline}), in transition order and, within one
+    transition, in driver order.  [progress] fires as for {!run}. *)
 
 val run :
   ?parameters:parameters ->
@@ -68,11 +69,16 @@ val run :
     folded into accesses.  Results are configuration-major in the order
     given.
 
-    [jobs] (default 1) fans the configurations out over a
-    {!Dynvote_exec.Pool} domain pool, one task per configuration.  Every
-    task replays the same deterministic failure trace a sequential run
-    would, so per-cell results are bit-identical for any [jobs]; result
-    order is unchanged.  [progress] only fires on the sequential path.
+    The failure trace is generated once, in bounded chunks; [jobs]
+    (default 1) fans only the evaluation of each chunk out over a
+    {!Dynvote_exec.Pool} domain pool, one task per cell.  Every cell sees
+    the same transitions in the same order whatever [jobs] is, so per-cell
+    results are bit-identical for any [jobs]; result order is unchanged.
+
+    [progress] fires between chunks, from the calling domain, whenever at
+    least another hundredth of the horizon has been simulated; [completed]
+    (the time of the last transition replayed, in days) strictly increases
+    and stays below [total] (the horizon).
     @raise Invalid_argument on inconsistent parameters. *)
 
 type replicated = {

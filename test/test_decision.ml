@@ -265,8 +265,149 @@ let test_tdv_unsafe_on_split_segment () =
   Alcotest.(check bool) "left half grants" true (Decision.is_granted (eval [ 0 ]));
   Alcotest.(check bool) "right half grants too" true (Decision.is_granted (eval [ 1 ]))
 
+(* The reference decision rule: Algorithm 1 as first written here, with
+   tuple maxima and list-based same-segment tests.  [Decision.evaluate]
+   computes the same sets with allocation-free bit loops and must return
+   the very same verdict on any input. *)
+module Reference = struct
+  let op_maxima states r =
+    Site_set.fold
+      (fun site ((best, set) as acc) ->
+        let o = Replica.op_no states.(site) in
+        if o > best then (o, Site_set.singleton site)
+        else if o = best then (best, Site_set.add site set)
+        else acc)
+      r
+      (min_int, Site_set.empty)
+
+  let version_maxima states r =
+    Site_set.fold
+      (fun site ((best, set) as acc) ->
+        let v = Replica.version states.(site) in
+        if v > best then (v, Site_set.singleton site)
+        else if v = best then (best, Site_set.add site set)
+        else acc)
+      r
+      (min_int, Site_set.empty)
+
+  let claimed_votes ~segment_of ~p_m ~r ~fresh ~q =
+    let sponsors = Site_set.inter (Site_set.inter p_m r) fresh in
+    let sponsor_segments =
+      Site_set.fold (fun site acc -> segment_of site :: acc) sponsors []
+    in
+    Site_set.union q
+      (Site_set.filter (fun site -> List.mem (segment_of site) sponsor_segments) p_m)
+
+  let rival_claimants ~segment_of ~ordering ~p_m ~r ~q ~fresh =
+    let d = Site_set.diff p_m r in
+    let witnesses = Site_set.inter q fresh in
+    let witness_segments =
+      Site_set.fold (fun site acc -> segment_of site :: acc) witnesses []
+    in
+    let d_eff =
+      Site_set.filter (fun i -> not (List.mem (segment_of i) witness_segments)) d
+    in
+    if Site_set.is_empty d_eff then None
+    else begin
+      let rival_segments =
+        Site_set.fold (fun site acc -> segment_of site :: acc) d_eff []
+      in
+      let rival =
+        Site_set.union d_eff
+          (Site_set.filter (fun j -> List.mem (segment_of j) rival_segments) p_m)
+      in
+      let have = 2 * Site_set.cardinal rival in
+      let size = Site_set.cardinal p_m in
+      if
+        have > size
+        || (have = size && Site_set.mem (Ordering.max_element ordering p_m) d_eff)
+      then Some rival
+      else None
+    end
+
+  let evaluate (flavor : Decision.flavor) ~ordering ~segment_of ?fresh ~states ~reachable:r
+      () =
+    if Site_set.is_empty r then Decision.Denied Decision.No_reachable_copy
+    else begin
+      let fresh = if flavor.safe_claims then Option.value fresh ~default:r else r in
+      let _, q = op_maxima states r in
+      let _, s = version_maxima states r in
+      let m = Site_set.min_elt q in
+      let p_m = Replica.partition states.(m) in
+      let claimed =
+        if flavor.topological then claimed_votes ~segment_of ~p_m ~r ~fresh ~q else q
+      in
+      let rival =
+        if flavor.topological && flavor.safe_claims then
+          rival_claimants ~segment_of ~ordering ~p_m ~r ~q ~fresh
+        else None
+      in
+      match rival with
+      | Some rivals -> Decision.Denied (Decision.Rival_possible { rivals })
+      | None ->
+          let have = Site_set.cardinal claimed in
+          let quorum_size = Site_set.cardinal p_m in
+          let grant = Decision.Granted { Decision.q; s; m; p_m; claimed } in
+          if 2 * have > quorum_size then grant
+          else if 2 * have = quorum_size then begin
+            if not flavor.tie_break then Decision.Denied Decision.Tie_unbroken
+            else begin
+              let max_element = Ordering.max_element ordering p_m in
+              let claim_proof =
+                (not flavor.topological)
+                || (not flavor.safe_claims)
+                || Site_set.mem max_element fresh
+                || Site_set.for_all
+                     (fun j -> j = max_element || segment_of j <> segment_of max_element)
+                     p_m
+              in
+              if Site_set.mem max_element q && claim_proof then grant
+              else Decision.Denied (Decision.Tie_lost { max_element })
+            end
+          end
+          else Decision.Denied (Decision.Below_majority { have; quorum_size })
+    end
+end
+
+(* Random inputs over eight sites: arbitrary replica states (not only
+   reachable ones), segments, a ranking, the reachable set and, half the
+   time, a freshness set. *)
+let arb_decision_input =
+  let open QCheck.Gen in
+  let set = map Site_set.of_int_unsafe (int_bound 255) in
+  let replica =
+    map3
+      (fun op_no version partition -> Replica.make ~op_no ~version ~partition)
+      (int_range 1 4) (int_range 1 3) set
+  in
+  QCheck.make
+    (tup5 (array_size (return 8) replica) (array_size (return 8) (int_bound 2))
+       (shuffle_l (List.init 8 Fun.id)) set (opt set))
+    ~print:(fun (states, segments, ranking, reachable, fresh) ->
+      Fmt.str "states [%a] segments [%a] ranking [%a] R=%a fresh=%a"
+        Fmt.(array ~sep:(any "; ") Replica.pp) states
+        Fmt.(array ~sep:(any " ") int) segments
+        Fmt.(list ~sep:(any " ") int) ranking
+        Site_set.pp reachable
+        Fmt.(option ~none:(any "none") Site_set.pp) fresh)
+
+let prop_matches_reference flavor (states, segments, ranking, reachable, fresh) =
+  let ordering = Ordering.of_ranking ranking in
+  let segment_of site = segments.(site) in
+  Decision.evaluate flavor ~ordering ~segment_of ?fresh ~states ~reachable ()
+  = Reference.evaluate flavor ~ordering ~segment_of ?fresh ~states ~reachable ()
+
 let props =
   [
+    qcheck_case ~count:1000 ~name:"same verdict as the reference (DV)" arb_decision_input
+      (prop_matches_reference Decision.dv_flavor);
+    qcheck_case ~count:1000 ~name:"same verdict as the reference (LDV)" arb_decision_input
+      (prop_matches_reference Decision.ldv_flavor);
+    qcheck_case ~count:1000 ~name:"same verdict as the reference (TDV)" arb_decision_input
+      (prop_matches_reference Decision.tdv_flavor);
+    qcheck_case ~count:1000 ~name:"same verdict as the reference (TDV-safe)"
+      arb_decision_input
+      (prop_matches_reference Decision.tdv_safe_flavor);
     qcheck_case ~count:300 ~name:"mutual exclusion (DV)" arb_history_states
       (mutual_exclusion_prop Decision.dv_flavor same_segment);
     qcheck_case ~count:300 ~name:"mutual exclusion (LDV)" arb_history_states

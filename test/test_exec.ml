@@ -63,7 +63,10 @@ let test_no_nested_pools () =
           Alcotest.(check int) "inner pool collapses to sequential" 1 inner_jobs)
         observations)
 
-let small_parameters = { Study.default_parameters with Study.horizon = 3_360.0 }
+(* Long enough (about 5,800 transitions) that the trace spans more than
+   one chunk, so chunk boundaries are part of what must not depend on
+   [jobs]. *)
+let small_parameters = { Study.default_parameters with Study.horizon = 12_360.0 }
 
 let small_configs =
   List.filter (fun c -> List.mem (Config.label c) [ "A"; "E" ]) Config.ucsd_configurations

@@ -14,7 +14,7 @@ let () =
       ("net", Test_net.suite);
       ("failures", Test_failures.suite);
       ("metrics", Test_metrics.suite);
-      ("study", Test_study.suite);
+      ("study", Test_study.suite @ Test_study_golden.suite);
       ("analytic", Test_analytic.suite);
       ("msgsim", Test_msgsim.suite);
       ("differential", Test_differential.suite);

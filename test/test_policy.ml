@@ -284,6 +284,50 @@ let prop_safety_sweep =
       done;
       !ok)
 
+(* The settled-refresh rule: right after [handle_topology_change v], the
+   instantaneous policies answer [is_available v] from that refresh, with
+   no probe.  A structurally equal copy of [v] is not the same view, so it
+   forces a real probe; the two answers must agree, over random
+   failure/repair walks on the Figure 8 topology and random copy sets. *)
+let prop_settled_refresh =
+  qcheck_case ~count:200 ~name:"settled refresh answers as a real probe"
+    QCheck.small_int
+    (fun seed ->
+      let rng = Dynvote_prng.Rng.of_seed ((seed * 104_729) + 11) in
+      let topology = Net_topology.ucsd in
+      let n_sites = Net_topology.n_sites topology in
+      let all = Net_topology.all_sites topology in
+      let connectivity = Connectivity.create topology in
+      let universe =
+        match Site_set.filter (fun _ -> Dynvote_prng.Rng.bool rng) all with
+        | u when Site_set.is_empty u -> Site_set.singleton (Dynvote_prng.Rng.int rng n_sites)
+        | u -> u
+      in
+      let policies =
+        List.map
+          (fun (kind, flavor) ->
+            Policy.create ?flavor kind ~universe ~n_sites
+              ~segment_of:(Net_topology.segment_of topology) ~ordering)
+          [ (Policy.Dv, None); (Policy.Ldv, None); (Policy.Tdv, None);
+            (Policy.Tdv, Some Decision.tdv_safe_flavor) ]
+      in
+      let up = ref all and ok = ref true in
+      for _ = 1 to 60 do
+        let site = Dynvote_prng.Rng.int rng n_sites in
+        up :=
+          (if Site_set.mem site !up then Site_set.remove site !up
+           else Site_set.add site !up);
+        let v = Connectivity.view connectivity ~up:!up in
+        List.iter
+          (fun p ->
+            Policy.handle_topology_change p v;
+            let settled = Policy.is_available p v in
+            let probed = Policy.is_available p { Policy.components = v.Policy.components } in
+            if settled <> probed then ok := false)
+          policies
+      done;
+      !ok)
+
 let test_create_validation () =
   Alcotest.check_raises "empty universe" (Invalid_argument "Policy.create: empty universe")
     (fun () ->
@@ -313,4 +357,5 @@ let suite =
       test_mutual_exclusion_across_components;
     Alcotest.test_case "creation validation" `Quick test_create_validation;
     prop_safety_sweep;
+    prop_settled_refresh;
   ]

@@ -185,6 +185,84 @@ let test_replicate () =
   in
   Alcotest.(check bool) "MCV > LDV pooled" true (get Policy.Mcv > get Policy.Ldv)
 
+(* The exact calls a driver receives, checked against a direct replay of
+   the failure trace over more than four chunks: every transition is
+   delivered once, in order, and an access that fell due since the
+   previous transition comes first and sees the view from before it —
+   across chunk boundaries too. *)
+let test_driver_calls_match_replay () =
+  let parameters = { params with horizon = 40_360.0 } in
+  let topology = Dynvote_net.Topology.ucsd in
+  let components (v : Policy.view) = List.map Site_set.to_int v.Policy.components in
+  let log = ref [] in
+  let record entry = log := entry :: !log in
+  let driver =
+    {
+      Driver.name = "recorder";
+      optimistic = true;
+      on_topology_change = (fun v -> record (`Topology (components v)));
+      on_repair = (fun v site -> record (`Repair (components v, site)));
+      on_access = (fun v -> record (`Access (components v)); true);
+      available = (fun v -> record (`Available (components v)); true);
+    }
+  in
+  ignore (Study.run_drivers ~parameters ~drivers:[ ((), driver) ] ());
+  let actual = List.rev !log in
+  let module Event_gen = Dynvote_failures.Event_gen in
+  let generator =
+    Event_gen.create ~seed:parameters.seed Dynvote_failures.Site_spec.ucsd_sites
+  in
+  let connectivity = Dynvote_net.Connectivity.create topology in
+  let up = ref (Dynvote_net.Topology.all_sites topology) in
+  let before = ref (Dynvote_net.Connectivity.view connectivity ~up:!up) in
+  let next_access = ref infinity and expected = ref [] and transitions = ref 0 in
+  let rec replay () =
+    let { Event_gen.time; site; now_up; _ } = Event_gen.next generator in
+    if time < parameters.horizon then begin
+      incr transitions;
+      if !next_access < time then expected := `Access (components !before) :: !expected;
+      up := (if now_up then Site_set.add site !up else Site_set.remove site !up);
+      let view = Dynvote_net.Connectivity.view connectivity ~up:!up in
+      expected := `Topology (components view) :: !expected;
+      if now_up then expected := `Repair (components view, site) :: !expected;
+      expected := `Available (components view) :: !expected;
+      (* One access a day: the next falls at the next whole day. *)
+      next_access := Float.floor time +. 1.0;
+      before := view;
+      replay ()
+    end
+  in
+  replay ();
+  Alcotest.(check bool) "more than four chunks" true (!transitions > 4 * 4096);
+  Alcotest.(check int) "as many calls" (List.length !expected) (List.length actual);
+  Alcotest.(check bool) "the same calls in the same order" true (List.rev !expected = actual)
+
+(* [progress] fires at every [jobs], between chunks of the trace, with
+   [completed] strictly increasing and short of the horizon. *)
+let test_progress_any_jobs () =
+  let parameters = { params with horizon = 40_360.0 } in
+  List.iter
+    (fun jobs ->
+      let calls = ref [] in
+      let progress ~completed ~total =
+        check_float "total is the horizon" parameters.horizon total;
+        calls := completed :: !calls
+      in
+      ignore
+        (Study.run ~parameters ~configs:[ List.hd Config.ucsd_configurations ]
+           ~kinds:[ Policy.Mcv ] ~progress ~jobs ());
+      let completed = List.rev !calls in
+      let name = Printf.sprintf "-j%d" jobs in
+      Alcotest.(check bool) (name ^ ": fired several times") true (List.length completed >= 3);
+      let rec increasing = function
+        | a :: (b :: _ as rest) -> a < b && increasing rest
+        | _ -> true
+      in
+      Alcotest.(check bool) (name ^ ": increasing") true (increasing completed);
+      Alcotest.(check bool) (name ^ ": below the horizon") true
+        (List.for_all (fun c -> c > 0.0 && c < parameters.horizon) completed))
+    [ 1; 2 ]
+
 let test_replicate_validation () =
   Alcotest.check_raises "needs two"
     (Invalid_argument "Study.replicate: need at least two replications") (fun () ->
@@ -203,4 +281,7 @@ let suite =
     Alcotest.test_case "access-rate extremes" `Quick test_access_rate_extremes;
     Alcotest.test_case "replications" `Quick test_replicate;
     Alcotest.test_case "replication validation" `Quick test_replicate_validation;
+    Alcotest.test_case "progress at any jobs" `Quick test_progress_any_jobs;
+    Alcotest.test_case "driver calls match a direct replay" `Quick
+      test_driver_calls_match_replay;
   ]
