@@ -77,12 +77,13 @@ let write_json path value =
   close_out oc;
   Fmt.pr "wrote %s@." path
 
-let steal_json (t : Pool.steal_stats) =
-  Json.Obj
-    [ ("tasks_executed", Json.Int t.Pool.tasks_executed);
-      ("steals", Json.Int t.Pool.steals);
-      ("failed_steals", Json.Int t.Pool.failed_steals);
-      ("max_deque_depth", Json.Int t.Pool.max_deque_depth) ]
+(* Every gate that prints FAIL lands here; once the BENCH_*.json files
+   are written, the run exits 1 if any did. *)
+let failed_gates = ref []
+
+let gate_verdict name ok =
+  if not ok then failed_gates := name :: !failed_gates;
+  if ok then "PASS" else "FAIL"
 
 let section name description =
   Fmt.pr "@.=================== %s ===================@." name;
@@ -173,7 +174,7 @@ let claims results =
        results)
       .Study.unavailability
   in
-  let check name ok = Fmt.pr "  [%s] %s@." (if ok then "PASS" else "FAIL") name in
+  let check name ok = Fmt.pr "  [%s] %s@." (gate_verdict ("claim: " ^ name) ok) name in
   check "DV worse than MCV for three copies (A-D)"
     (List.for_all (fun c -> u c Policy.Dv >= u c Policy.Mcv) [ "A"; "B"; "C"; "D" ]);
   check "DV much better than MCV in E (four copies on one segment)"
@@ -805,20 +806,10 @@ let mc () =
             Printf.sprintf "%.2fx" reduction;
             Printf.sprintf "%.0f" rate;
             verdict ];
-        let totals = Dynvote_mc.Report.steal_totals rr.Explorer.workers in
-        (name, rr, rf.Explorer.transitions, reduction, rate, verdict, totals))
+        (name, rr, rf.Explorer.transitions, reduction, rate, verdict))
       [ "dv"; "odv"; "tdv"; "tdv-safe" ]
   in
   Text_table.print table;
-  if jobs > 1 then begin
-    Fmt.pr "@.Stealing frontier (-j%d, reduced runs):@." jobs;
-    List.iter
-      (fun (name, _, _, _, _, _, (t : Pool.steal_stats)) ->
-        Fmt.pr "  %-9s %d tasks, %d steals, %d failed steals, max deque %d@."
-          name t.Pool.tasks_executed t.Pool.steals t.Pool.failed_steals
-          t.Pool.max_deque_depth)
-      policy_rows
-  end;
   let sampled, canon_bytes, old_bs, resident_bs, spill_bs, spilled =
     mc_store_bytes ()
   in
@@ -833,13 +824,14 @@ let mc () =
   write_json "BENCH_MC.json"
     Json.(
       Obj
-        [ ("schema", String "dynvote-bench-mc/2");
+        [ ("schema", String "dynvote-bench-mc/3");
           ("depth", Int depth);
           ("jobs", Int jobs);
+          ("cores", Int (Domain.recommended_domain_count ()));
           ( "policies",
             Obj
               (List.map
-                 (fun (name, rr, full_t, reduction, rate, verdict, totals) ->
+                 (fun (name, rr, full_t, reduction, rate, verdict) ->
                    ( name,
                      Obj
                        [ ("states", Int rr.Explorer.distinct);
@@ -847,8 +839,7 @@ let mc () =
                          ("transitions_reduced", Int rr.Explorer.transitions);
                          ("reduction", Float reduction);
                          ("trans_per_s", Float rate);
-                         ("verdict", String verdict);
-                         ("steal_totals", steal_json totals) ] ))
+                         ("verdict", String verdict) ] ))
                  policy_rows) );
           ( "store",
             Obj
@@ -871,13 +862,9 @@ let mc () =
    speedups are meaningless.
 
    The model-checker workload is deliberately deep-narrow: one policy
-   over the FULL action alphabet.  That shape starves root-alphabet
-   sharding (at most |alphabet| workers ever busy, the round finishing
-   at the speed of the deepest root subtree) and is what the stealing
-   frontier exists for.  It runs three ways — -j1, -jN over root shards
-   (--steal off) and -jN over the stealing frontier — with the verdict
-   asserted identical across all three and the frontier's steal
-   counters recorded in BENCH_PAR.json (schema 2). *)
+   over the FULL action alphabet, timed at -j1 and -jN (the one search,
+   workers pulling root actions from a shared cursor), with the verdict
+   asserted identical across both (BENCH_PAR.json schema 3). *)
 
 let par () =
   let n = jobs in
@@ -886,8 +873,8 @@ let par () =
     (Printf.sprintf
        "Domain-pool execution layer: core-scaled workloads at -j 1 and -j %d\n\
         (%d core%s available).  Per-cell study results must be bit-identical;\n\
-        model-checker verdicts must agree across -j1, root shards and the\n\
-        stealing frontier." n cores (if cores = 1 then "" else "s"));
+        model-checker verdicts must agree across -j1 and -j%d." n cores
+       (if cores = 1 then "" else "s") n);
   let time f =
     let t0 = Unix.gettimeofday () in
     let r = f () in
@@ -929,38 +916,27 @@ let par () =
     | Explorer.Out_of_budget -> Printf.sprintf "budget depth=%d" r.Explorer.depth
   in
   let p = Option.get (Harness.policy_of_string mc_policy) in
-  let run_mc ~jobs ~steal =
+  let run_mc ~jobs =
     Checker.check ~space:Dynvote_mc.Space.full ~policy:p ~depth:mc_depth ~jobs
-      ~steal (Checker.paper_config ())
+      (Checker.paper_config ())
   in
-  let mc_seq, mc_seq_s = time (fun () -> run_mc ~jobs:1 ~steal:true) in
-  let mc_shard, mc_shard_s = time (fun () -> run_mc ~jobs:n ~steal:false) in
-  let mc_steal, mc_steal_s = time (fun () -> run_mc ~jobs:n ~steal:true) in
+  let mc_seq, mc_seq_s = time (fun () -> run_mc ~jobs:1) in
+  let mc_par, mc_par_s = time (fun () -> run_mc ~jobs:n) in
   let base = verdict_summary mc_seq in
-  let mc_identical =
-    verdict_summary mc_shard = base && verdict_summary mc_steal = base
-  in
-  Fmt.pr
-    "  mc (%s, full alphabet, depth %d): -j1 %.2f s, -j%d shards %.2f s,\n\
-    \    -j%d stealing %.2f s  [%s]@."
-    mc_policy mc_depth mc_seq_s n mc_shard_s n mc_steal_s
+  let mc_identical = verdict_summary mc_par = base in
+  Fmt.pr "  mc (%s, full alphabet, depth %d): -j1 %.2f s, -j%d %.2f s  [%s]@."
+    mc_policy mc_depth mc_seq_s n mc_par_s
     (if mc_identical then "IDENTICAL" else "MISMATCH");
   Fmt.pr "    verdict: %s@." base;
-  let totals =
-    Dynvote_mc.Report.steal_totals mc_steal.Checker.result.Explorer.workers
-  in
-  Fmt.pr "    frontier: %d tasks, %d steals, %d failed steals, max deque %d@."
-    totals.Pool.tasks_executed totals.Pool.steals totals.Pool.failed_steals
-    totals.Pool.max_deque_depth;
   let total_seq = study_seq_s +. mc_seq_s
-  and total_par = study_par_s +. mc_steal_s in
+  and total_par = study_par_s +. mc_par_s in
   let speedup = total_seq /. total_par in
   Fmt.pr "  total: -j1 %.2f s, -j%d %.2f s, speedup %.2fx on %d core%s@." total_seq n
     total_par speedup cores (if cores = 1 then "" else "s");
   write_json "BENCH_PAR.json"
     Json.(
       Obj
-        [ ("schema", String "dynvote-bench-par/2");
+        [ ("schema", String "dynvote-bench-par/3");
           ("jobs", Int n);
           ("cores", Int cores);
           ( "sections",
@@ -978,13 +954,10 @@ let par () =
                       ("space", String "full");
                       ("depth", Int mc_depth);
                       ("j1_wall_s", Float mc_seq_s);
-                      ("shard_wall_s", Float mc_shard_s);
-                      ("steal_wall_s", Float mc_steal_s);
-                      ("shard_speedup", Float (mc_seq_s /. mc_shard_s));
-                      ("steal_speedup", Float (mc_seq_s /. mc_steal_s));
+                      ("jn_wall_s", Float mc_par_s);
+                      ("speedup", Float (mc_seq_s /. mc_par_s));
                       ("identical", Bool mc_identical);
-                      ("verdict", String base);
-                      ("steal_totals", steal_json totals) ] ) ] );
+                      ("verdict", String base) ] ) ] );
           ( "total",
             Obj
               [ ("j1_wall_s", Float total_seq);
@@ -1231,7 +1204,7 @@ let serve () =
     (if durable_safe then "safe" else "UNSAFE")
     buffered_speedup
     (if buffered_safe then "safe" else "UNSAFE")
-    (if gate then "PASS" else "FAIL");
+    (gate_verdict "SERVE pipelined speedup" gate);
   (runs, (durable_speedup, buffered_speedup, gate))
 
 (* One sweep step's client herd in a separate process.  RLIMIT_NOFILE
@@ -1445,7 +1418,7 @@ let obs_bench () =
     "instrumentation overhead: %.1f%% of no-op goodput over %.1f s runs \
      (budget 5%%)@.gate: %s - the live and no-op goodput CIs %s@."
     overhead_pct duration
-    (if ci_overlap || overhead_pct <= 5.0 then "PASS" else "FAIL")
+    (gate_verdict "OBS instrumentation overhead" (ci_overlap || overhead_pct <= 5.0))
     (if ci_overlap then "overlap (overhead undetectable at this precision)"
      else "do not overlap");
   ((live_r, live_safe), (noop_r, noop_safe), overhead_pct, ci_overlap, duration)
@@ -1849,7 +1822,7 @@ let shard_bench () =
     "@.per-op cost at 1M keys: %.2fx the 1k-key cost (floor: a key space\n\
      1000x larger may cost at most 2x per op)@.gate: %s@.@."
     ratio
-    (if gate then "PASS" else "FAIL");
+    (gate_verdict "SHARD per-op cost" gate);
   let live_r, live_safe, live_keys, batch = shard_live_run () in
   Fmt.pr "[group quorums] audit %s  %d keys audited@.@[<v>%a@]@."
     (if live_safe then "SAFE" else "UNSAFE")
@@ -1950,4 +1923,10 @@ let () =
     write_bench_shard ~path:"BENCH_SHARD.json" shard_results
   end;
   if section_wanted "micro" then micro ();
-  Fmt.pr "@.done.@."
+  match List.rev !failed_gates with
+  | [] -> Fmt.pr "@.done.@."
+  | failed ->
+      Fmt.pr "@.done; %d gate%s FAILED:@." (List.length failed)
+        (if List.length failed = 1 then "" else "s");
+      List.iter (Fmt.pr "  %s@.") failed;
+      exit 1

@@ -128,141 +128,21 @@ let run_batch t body =
   t.batch <- None;
   Mutex.unlock t.mutex
 
-(* ------------------------------------------------------------------ *)
-(* The work-stealing scheduler.
-
-   [map_array] fans out a {e fixed} item array; [run_stealing] schedules
-   a {e growing} frontier: executing one task may push new tasks, and
-   idle workers steal them.  Each worker owns a Chase–Lev deque — the
-   owner pushes and pops at the bottom (LIFO, so a tree-shaped workload
-   is walked depth-first with hot caches), thieves take from the top
-   (FIFO, so they steal the oldest, shallowest, largest tasks).  Victims
-   are chosen by a per-worker xorshift generator seeded from [seed] and
-   the worker index.
-
-   Termination is a work-count quiescence barrier: one atomic counter of
-   outstanding tasks, incremented by [push] {e before} the task becomes
-   stealable and decremented only after its [run] returns (so a task's
-   children are always counted before their parent retires).  A worker
-   whose own deque is empty observes [outstanding = 0] exactly when no
-   task exists anywhere and none can appear — every worker then exits;
-   while the counter is positive it keeps stealing.
-
-   An exception from [run] aborts the whole schedule: every worker stops
-   at its next dispatch, and the first failing worker's exception (by
-   worker index) is re-raised in the caller after the barrier. *)
-
-type steal_stats = {
-  tasks_executed : int;
-  steals : int;
-  failed_steals : int;
-  max_deque_depth : int;
-}
-
-let zero_steal_stats =
-  { tasks_executed = 0; steals = 0; failed_steals = 0; max_deque_depth = 0 }
-
-let add_steal_stats a b =
-  {
-    tasks_executed = a.tasks_executed + b.tasks_executed;
-    steals = a.steals + b.steals;
-    failed_steals = a.failed_steals + b.failed_steals;
-    max_deque_depth = max a.max_deque_depth b.max_deque_depth;
-  }
-
-let run_stealing (type task state) t ?(seed = 0) ~(roots : task array)
-    ~(init : int -> state) ~(run : state -> push:(task -> unit) -> task -> unit)
-    () : steal_stats array =
-  if t.stop then invalid_arg "Pool: pool is shut down";
-  let jobs = if in_worker () then 1 else t.jobs in
-  let deques = Array.init jobs (fun _ -> Deque.create ()) in
-  Array.iteri (fun i task -> Deque.push deques.(i mod jobs) task) roots;
-  let outstanding = Atomic.make (Array.length roots) in
-  let abort = Atomic.make false in
-  let stats = Array.make jobs zero_steal_stats in
-  let errors = Array.make jobs None in
-  let slot = Atomic.make 0 in
-  let body () =
-    let w = Atomic.fetch_and_add slot 1 in
-    let my = deques.(w) in
-    let tasks_executed = ref 0 in
-    let steals = ref 0 in
-    let failed_steals = ref 0 in
-    let max_depth = ref 0 in
-    (* xorshift64, seeded per worker; only victim selection consumes it. *)
-    let rng = ref (((seed + 1) * 0x2545F4914F6CDD1D) + ((w + 1) * 0x9E3779B9)) in
-    let next_random () =
-      let x = !rng in
-      let x = x lxor (x lsl 13) in
-      let x = x lxor (x lsr 7) in
-      let x = x lxor (x lsl 17) in
-      rng := x;
-      x land max_int
-    in
-    let push task =
-      Atomic.incr outstanding;
-      Deque.push my task;
-      let d = Deque.size my in
-      if d > !max_depth then max_depth := d
-    in
-    let state = init w in
-    let execute task =
-      run state ~push task;
-      incr tasks_executed;
-      Atomic.decr outstanding
-    in
-    let rec loop () =
-      if not (Atomic.get abort) then
-        match Deque.pop my with
-        | Some task ->
-            execute task;
-            loop ()
-        | None ->
-            if Atomic.get outstanding > 0 then begin
-              (if jobs > 1 then begin
-                 let r = next_random () mod (jobs - 1) in
-                 let victim = if r >= w then r + 1 else r in
-                 match Deque.steal deques.(victim) with
-                 | Deque.Stolen task ->
-                     incr steals;
-                     execute task
-                 | Deque.Empty | Deque.Retry ->
-                     incr failed_steals;
-                     Domain.cpu_relax ()
-               end);
-              loop ()
-            end
-    in
-    (try loop ()
-     with e ->
-       errors.(w) <- Some (e, Printexc.get_raw_backtrace ());
-       Atomic.set abort true);
-    stats.(w) <-
-      {
-        tasks_executed = !tasks_executed;
-        steals = !steals;
-        failed_steals = !failed_steals;
-        max_deque_depth = !max_depth;
-      }
-  in
-  if jobs = 1 then begin
-    let was_worker = in_worker () in
-    Domain.DLS.set in_worker_key true;
-    Fun.protect ~finally:(fun () -> Domain.DLS.set in_worker_key was_worker) body
-  end
-  else run_batch t body;
-  Array.iter
-    (function
-      | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-      | None -> ())
-    errors;
-  stats
+(* Per-worker claim counters of a cursor-driven fan-out; see pool.mli
+   for why the names still say "steal". *)
+type steal_stats = { steals : int; failed_steals : int }
 
 let map_array t f xs =
   let n = Array.length xs in
   if t.stop then invalid_arg "Pool: pool is shut down";
   if n = 0 then [||]
-  else if t.jobs = 1 || n = 1 || in_worker () then Array.map f xs
+  else if t.jobs = 1 || n = 1 || in_worker () then begin
+    let was_worker = in_worker () in
+    Domain.DLS.set in_worker_key true;
+    Fun.protect
+      ~finally:(fun () -> Domain.DLS.set in_worker_key was_worker)
+      (fun () -> Array.map f xs)
+  end
   else begin
     let results = Array.make n None in
     let errors = Array.make n None in

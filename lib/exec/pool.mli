@@ -1,6 +1,6 @@
 (** Fixed-size domain pool for the embarrassingly parallel compute paths
     (the availability study, independent-seed replications, the bounded
-    model checker's root-alphabet shards).
+    model checker's root-action cursor).
 
     Built directly on OCaml 5 [Domain] — no external dependencies.  A
     pool owns [jobs - 1] worker domains (the caller participates as the
@@ -48,53 +48,22 @@ val with_pool : ?jobs:int -> (t -> 'a) -> 'a
 (** [create], run, [shutdown] (also on exceptions). *)
 
 type steal_stats = {
-  tasks_executed : int;  (** tasks this worker ran (popped or stolen) *)
-  steals : int;  (** successful steals from another worker's deque *)
-  failed_steals : int;  (** steal attempts that found nothing or lost a race *)
-  max_deque_depth : int;  (** high-water mark of this worker's own deque *)
+  steals : int;  (** work items this worker took from a shared cursor *)
+  failed_steals : int;  (** cursor probes that found no item left *)
 }
-
-val zero_steal_stats : steal_stats
-
-val add_steal_stats : steal_stats -> steal_stats -> steal_stats
-(** Componentwise sum; [max_deque_depth] takes the max. *)
-
-val run_stealing :
-  t ->
-  ?seed:int ->
-  roots:'task array ->
-  init:(int -> 'state) ->
-  run:('state -> push:('task -> unit) -> 'task -> unit) ->
-  unit ->
-  steal_stats array
-(** Run a dynamically growing task frontier to quiescence over all
-    workers.  Each worker owns a {!Deque} (Chase–Lev: the owner pushes
-    and pops LIFO at the bottom, thieves steal FIFO from the top, with
-    randomized victim selection seeded by [seed]); [roots] are dealt
-    round-robin across the deques; [init w] builds worker [w]'s private
-    state once; [run state ~push task] executes one task and may [push]
-    follow-on tasks onto the {e executing} worker's own deque.
-
-    Returns when every task has been executed: termination is detected
-    by a global outstanding-task counter (incremented on [push] before
-    the task is visible, decremented after its [run] returns), so a
-    worker observing zero with an empty deque can exit — no task exists
-    and none can appear.  An exception from [run] or [init] aborts the
-    schedule and is re-raised (first failing worker by index).
-
-    The per-worker statistics are returned in worker-index order.
-    Scheduling (which worker runs which task, and in what order) is
-    nondeterministic above one worker — the caller's [run] must make
-    the aggregate result order-independent.  Inside another pool's
-    worker the schedule degrades to one sequential LIFO worker, in
-    keeping with the no-nested-pools rule. *)
+(** One worker's claim counters in a cursor-driven fan-out (the model
+    checker's root cursor fills them per worker).  The type and field
+    names are historical and stay only because perfbench reads them;
+    rename them with the next change to the benchmark, together with the
+    [K] wire prefix. *)
 
 val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
 (** [map_array t f xs] is [Array.map f xs] computed by all workers.
     Items are claimed through a shared cursor (dynamic load balancing);
-    results land at their item's index.  [f] runs with {!in_worker} set.
-    The first exception by item index is re-raised after every worker
-    has drained. *)
+    results land at their item's index.  [f] runs with {!in_worker} set
+    at every width, one job and one item included (the previous value is
+    restored afterwards).  The first exception by item index is
+    re-raised after every worker has drained. *)
 
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 (** {!map_array} for lists, preserving order. *)

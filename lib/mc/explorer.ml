@@ -2,15 +2,16 @@
    enabled actions, with a seen-state table and the safety oracle checked
    at every state.
 
-   One chaos session carries the whole search; branching rewinds it with
-   {!Dynvote_chaos.Harness.checkpoint}/[rollback], so every explored path
-   executes the exact code a chaos replay would.  The seen table maps a
-   canonical fingerprint to the largest remaining-depth budget it was
-   expanded with, tagged by the {!Por} context the expansion was filtered
-   under: a revisit with no more budget under a covering context is
-   pruned, anything else is re-expanded (the transposition rule that
-   keeps iterative deepening — and partial-order reduction under state
-   caching — sound; see {!Striped_seen.claim}).
+   Each worker carries its part of the search in one chaos session;
+   branching rewinds it with {!Dynvote_chaos.Harness.checkpoint}/
+   [rollback], so every explored path executes the exact code a chaos
+   replay would.  The seen table maps a canonical fingerprint to the
+   largest remaining-depth budget it was expanded with, tagged by the
+   {!Por} context the expansion was filtered under: a revisit with no
+   more budget under a covering context is pruned, anything else is
+   re-expanded (the transposition rule that keeps iterative deepening —
+   and partial-order reduction under state caching — sound; see
+   {!Striped_seen.claim}).
 
    Partial-order reduction (on by default, [?por]) explores commuting
    fault actions in sorted order only: every pruned interleaving is a
@@ -27,22 +28,20 @@
    alphabet) has been exhausted and deeper iterations are skipped — the
    search is [closed].
 
-   With [jobs > 1] each deepening iteration is parallelized in the
-   spirit of Stern & Dill's parallel Murphi: the root action alphabet is
-   sharded over a {!Dynvote_exec.Pool}, every worker drives its own
-   freshly built session (cluster and oracle are mutable and never
-   shared), and deduplication goes through one lock-striped
-   {!Striped_seen} fingerprint store so the [distinct]/[max_states]
-   accounting stays global.  The set of distinct states within a bound —
-   and with it every Safe/Out_of_budget verdict — is independent of
-   worker interleaving, so verdicts match the sequential search; only
-   the traversal statistics ([visited], [transitions]) and the choice
-   among equally short counterexamples may differ.  The sequential path
-   runs through the same store (one shard, uncontended), so the spill
-   tier and the admission accounting are exercised identically at every
-   job count. *)
+   One search serves every job count, in the spirit of Stern & Dill's
+   parallel Murphi: each deepening iteration hands the root actions out
+   through a shared cursor to the workers of a {!Dynvote_exec.Pool},
+   every worker drives its own freshly built session (cluster and oracle
+   are mutable and never shared), and deduplication goes through one
+   lock-striped {!Striped_seen} fingerprint store so the
+   [distinct]/[max_states] accounting stays global.  The set of distinct
+   states within a bound — and with it every Safe/Out_of_budget verdict —
+   is independent of worker interleaving; only the traversal statistics
+   ([visited], [transitions]) and the choice among equally short
+   counterexamples may differ.  At one job the single worker takes the
+   root actions in order over a one-shard store, so the traversal is
+   fully deterministic (the cram tests pin its statistics). *)
 
-module Cluster = Dynvote_msgsim.Cluster
 module Harness = Dynvote_chaos.Harness
 module Oracle = Dynvote_chaos.Oracle
 module Schedule = Dynvote_chaos.Schedule
@@ -63,9 +62,6 @@ type result = {
   spilled : int;
   workers : Pool.steal_stats array;
 }
-
-exception Found of Schedule.step list * Oracle.violation list
-exception Budget
 
 (* Symmetry defaults off for tie-break flavors: site relabeling commutes
    with the transition relation only without the lexicographic tie-break
@@ -88,112 +84,6 @@ let checked_distinct seen =
   assert (Striped_seen.length seen = distinct);
   distinct
 
-let sequential_search ~space ~symmetry ~por ~max_states ?progress
-    ~(config : Harness.config) ~depth () =
-  let perms = perms_for ~symmetry config in
-  let session = Harness.make_session config in
-  let cluster = Harness.cluster session in
-  let oracle = Harness.oracle session in
-  let buf = Buffer.create 256 in
-  let gc = Space.amnesia_free space in
-  let fingerprint () = Fingerprint.canonical ~buf ~gc ~perms session in
-  let visited = ref 0 in
-  let transitions = ref 0 in
-  let peak_seen = ref 0 in
-  let distinct = ref 0 in
-  let spilled = ref 0 in
-  let cutoff = ref false in
-  let root = Harness.checkpoint session in
-  let search_to bound =
-    let seen = Striped_seen.create ~shards:1 ~max_states () in
-    cutoff := false;
-    ignore (Striped_seen.claim seen (fingerprint ()) ~budget:bound ~ctx:0);
-    incr visited;
-    (* [ctx] filters this state's successors: the {!Por.rank} of the
-       action the state was entered by, or 0 at the root and with the
-       reduction off.  A nonzero [covered] narrows the expansion to the
-       sleep difference against an already-recorded context. *)
-    let rec dfs remaining trace ctx covered =
-      if remaining = 0 then cutoff := true
-      else begin
-        let ck = Harness.checkpoint session in
-        let steps = Space.enabled space ~config ~cluster in
-        let steps =
-          if not por then steps
-          else if covered = 0 then Por.filter ~ctx steps
-          else Por.filter_uncovered ~ctx ~covered steps
-        in
-        List.iter
-          (fun step ->
-            incr transitions;
-            Harness.apply_step session step;
-            Oracle.check_step oracle cluster;
-            if not (Oracle.is_safe oracle) then
-              raise (Found (List.rev (step :: trace), Oracle.violations oracle));
-            let fp = fingerprint () in
-            let budget = remaining - 1 in
-            let step_ctx = if por then Por.rank step else 0 in
-            (match Striped_seen.claim seen fp ~budget ~ctx:step_ctx with
-            | Striped_seen.Prune -> ()
-            | Striped_seen.Budget -> raise Budget
-            | Striped_seen.Expand { filter; covered } ->
-                incr visited;
-                dfs budget (step :: trace) filter covered);
-            Harness.rollback session ck)
-          steps
-      end
-    in
-    let outcome =
-      try
-        dfs bound [] 0 0;
-        `Exhausted
-      with
-      | Found (trace, violations) -> `Found (trace, violations)
-      | Budget -> `Budget
-    in
-    distinct := checked_distinct seen;
-    peak_seen := max !peak_seen !distinct;
-    spilled := max !spilled (Striped_seen.spilled seen);
-    Striped_seen.close seen;
-    (match progress with
-    | Some f -> f ~depth:bound ~distinct:!distinct ~transitions:!transitions
-    | None -> ());
-    outcome
-  in
-  let result outcome depth =
-    {
-      outcome;
-      depth;
-      visited = !visited;
-      distinct = !distinct;
-      transitions = !transitions;
-      peak_seen = !peak_seen;
-      spilled = !spilled;
-      workers = [||];
-    }
-  in
-  let rec iterate bound =
-    Harness.rollback session root;
-    match search_to bound with
-    | `Found (trace, violations) ->
-        result (Violation { trace; violations }) (List.length trace)
-    | `Budget -> result Out_of_budget (bound - 1)
-    | `Exhausted ->
-        if not !cutoff then result (Safe { closed = true }) bound
-        else if bound >= depth then result (Safe { closed = false }) bound
-        else iterate (bound + 1)
-  in
-  (* The initial state could in principle already violate (it never does
-     for a sane config, but the oracle decides that, not us). *)
-  Oracle.check_step oracle cluster;
-  if not (Oracle.is_safe oracle) then
-    result (Violation { trace = []; violations = Oracle.violations oracle }) 0
-  else if depth <= 0 then result (Safe { closed = false }) 0
-  else iterate 1
-
-(* ------------------------------------------------------------------ *)
-(* The parallel search. *)
-
 exception Stop_worker
 
 type worker_tally = {
@@ -203,13 +93,14 @@ type worker_tally = {
   w_budget : bool;
   w_violation : (int * Schedule.step list * Oracle.violation list) option;
       (* root-action index, trace, violations *)
+  w_cursor : Pool.steal_stats;
 }
 
 (* One worker's share of a single deepening iteration: pull root-action
-   indices from [next_root], run the same DFS as the sequential search
-   below each, dedup through the shared striped store.  The session,
-   oracle, fingerprint buffer and checkpoints are all worker-private —
-   only [seen], [next_root] and [stop] are shared. *)
+   indices from [next_root], run the DFS below each, dedup through the
+   shared striped store.  The session, oracle, fingerprint buffer and
+   checkpoints are all worker-private — only [seen], [next_root] and
+   [stop] are shared. *)
 let bound_worker ~space ~gc ~perms ~por ~(config : Harness.config)
     ~(roots : Schedule.step array) ~seen ~next_root ~(stop : bool Atomic.t) ~bound () =
   let session = Harness.make_session config in
@@ -222,12 +113,18 @@ let bound_worker ~space ~gc ~perms ~por ~(config : Harness.config)
   let cutoff = ref false in
   let budget_hit = ref false in
   let violation = ref None in
+  let taken = ref 0 in
+  let empty_probes = ref 0 in
   let root_ck = Harness.checkpoint session in
   let found root_idx trace =
     violation := Some (root_idx, trace, Oracle.violations oracle);
     Atomic.set stop true;
     raise_notrace Stop_worker
   in
+  (* [ctx] filters a state's successors: the {!Por.rank} of the action
+     the state was entered by, or 0 with the reduction off.  A nonzero
+     [covered] narrows the expansion to the sleep difference against an
+     already-recorded context. *)
   let claim root_idx fp ~budget ~ctx recurse =
     match Striped_seen.claim seen fp ~budget ~ctx with
     | Striped_seen.Prune -> ()
@@ -269,6 +166,7 @@ let bound_worker ~space ~gc ~perms ~por ~(config : Harness.config)
      let rec next () =
        let idx = Atomic.fetch_and_add next_root 1 in
        if idx < Array.length roots && not (Atomic.get stop) then begin
+         incr taken;
          let step = roots.(idx) in
          incr transitions;
          Harness.apply_step session step;
@@ -281,6 +179,7 @@ let bound_worker ~space ~gc ~perms ~por ~(config : Harness.config)
          Harness.rollback session root_ck;
          next ()
        end
+       else incr empty_probes
      in
      next ()
    with Stop_worker -> ());
@@ -290,15 +189,22 @@ let bound_worker ~space ~gc ~perms ~por ~(config : Harness.config)
     w_cutoff = !cutoff;
     w_budget = !budget_hit;
     w_violation = !violation;
+    w_cursor = { Pool.steals = !taken; failed_steals = !empty_probes };
   }
 
-let parallel_search ~jobs ~space ~symmetry ~por ~max_states ?progress
-    ~(config : Harness.config) ~depth () =
+let add_cursor (a : Pool.steal_stats) (b : Pool.steal_stats) =
+  { Pool.steals = a.Pool.steals + b.Pool.steals;
+    failed_steals = a.Pool.failed_steals + b.Pool.failed_steals }
+
+let search ?(space = Space.default) ?symmetry ?(por = true) ?(max_states = 1_000_000)
+    ?progress ?(jobs = 1) ~(config : Harness.config) ~depth () =
+  let symmetry = resolve_symmetry ?symmetry config in
   let perms = perms_for ~symmetry config in
   let gc = Space.amnesia_free space in
   (* The caller keeps a session of its own for the initial-state check,
      the root fingerprint and the root alphabet (constant across
-     iterations — the root state never changes). *)
+     iterations — the root state never changes).  The root alphabet is
+     unfiltered: [Por.filter ~ctx:0] keeps every step. *)
   let session = Harness.make_session config in
   let cluster = Harness.cluster session in
   let oracle = Harness.oracle session in
@@ -309,6 +215,7 @@ let parallel_search ~jobs ~space ~symmetry ~por ~max_states ?progress
   let peak_seen = ref 0 in
   let distinct = ref 0 in
   let spilled = ref 0 in
+  let workers = ref [||] in
   let result outcome depth =
     {
       outcome;
@@ -318,7 +225,7 @@ let parallel_search ~jobs ~space ~symmetry ~por ~max_states ?progress
       transitions = !transitions;
       peak_seen = !peak_seen;
       spilled = !spilled;
-      workers = [||];
+      workers = !workers;
     }
   in
   Oracle.check_step oracle cluster;
@@ -327,9 +234,15 @@ let parallel_search ~jobs ~space ~symmetry ~por ~max_states ?progress
   else if depth <= 0 then result (Safe { closed = false }) 0
   else begin
     let roots = Array.of_list (Space.enabled space ~config ~cluster) in
+    (* Inside another pool's worker this pool collapses to one job. *)
     Pool.with_pool ~jobs (fun pool ->
+        let n = Pool.jobs pool in
+        (* One job runs over one uncontended shard; the spill tier and
+           the admission accounting are the same code at every width. *)
+        let shards = if n = 1 then Some 1 else None in
+        workers := Array.make n { Pool.steals = 0; failed_steals = 0 };
         let search_to bound =
-          let seen = Striped_seen.create ~max_states () in
+          let seen = Striped_seen.create ?shards ~max_states () in
           ignore (Striped_seen.claim seen (root_fp ()) ~budget:bound ~ctx:0);
           incr visited;
           let next_root = Atomic.make 0 in
@@ -339,13 +252,14 @@ let parallel_search ~jobs ~space ~symmetry ~por ~max_states ?progress
               (fun _worker ->
                 bound_worker ~space ~gc ~perms ~por ~config ~roots ~seen ~next_root
                   ~stop ~bound ())
-              (Array.init (Pool.jobs pool) Fun.id)
+              (Array.init n Fun.id)
           in
           Array.iter
             (fun t ->
               visited := !visited + t.w_visited;
               transitions := !transitions + t.w_transitions)
             tallies;
+          workers := Array.map2 (fun w t -> add_cursor w t.w_cursor) !workers tallies;
           distinct := checked_distinct seen;
           peak_seen := max !peak_seen !distinct;
           spilled := max !spilled (Striped_seen.spilled seen);
@@ -354,9 +268,9 @@ let parallel_search ~jobs ~space ~symmetry ~por ~max_states ?progress
           | Some f -> f ~depth:bound ~distinct:!distinct ~transitions:!transitions
           | None -> ());
           (* Merge in worker-index order; among counterexamples the
-             lowest root-action index wins, mirroring the sequential
-             DFS's left-to-right root scan.  A violation outranks the
-             state budget (it is the more informative verdict). *)
+             lowest root-action index wins, as in a left-to-right root
+             scan.  A violation outranks the state budget (it is the more
+             informative verdict). *)
           let violation =
             Array.fold_left
               (fun best t ->
@@ -386,276 +300,3 @@ let parallel_search ~jobs ~space ~symmetry ~por ~max_states ?progress
         in
         iterate 1)
   end
-
-(* ------------------------------------------------------------------ *)
-(* The work-stealing search.
-
-   Root-alphabet sharding above serializes on deep narrow prefixes: once
-   a worker owns a root action, the whole subtree below it is that
-   worker's.  Here the frontier is fully distributed instead — {e every}
-   expanded state's successors become stealable tasks over
-   {!Pool.run_stealing}'s Chase–Lev deques.
-
-   A task is a state to expand, carried as its checkpointed prefix: the
-   reversed step trace from the root (tail-shared with its siblings, so
-   pushing a child is O(1)), the remaining iterative-deepening budget,
-   and the {!Por} sleep-set context ([filter]/[covered]) the expansion
-   was admitted under by {!Striped_seen.claim} — the context travels
-   with the task, so the reduction stays sound no matter which worker
-   executes it.  To execute a task a worker repositions its private
-   session: it keeps the path of (step, checkpoint) pairs it is
-   currently standing on, rolls back to the deepest common ancestor
-   with the task's prefix and replays only the suffix (applying each
-   step through the same [apply_step]/[check_step] pair as the first
-   execution, so cluster {e and} oracle state are bit-identical to a
-   fresh rebuild).  A local LIFO pop is the child of the state just
-   expanded — the common ancestor is the whole prefix and the replay is
-   one step; a steal pays a rollback to a shallow ancestor (usually the
-   root) plus a replay of the stolen prefix, which is exactly the
-   Stern & Dill recipe with the frontier made global.
-
-   The lock-striped {!Striped_seen} store (and its spill tier) remains
-   the only shared structure; everything determinism-critical — the
-   Safe/Out_of_budget/Violation verdict, the closed flag, trace
-   lengths, [distinct] on completed bounds, the [max_states] budget —
-   flows through its claim rule exactly as in the sharded search, so
-   verdicts are independent of the scheduler.  Only [visited],
-   [transitions], the steal statistics and the choice among equally
-   short counterexamples vary with the interleaving. *)
-
-type task = {
-  t_trace : Schedule.step list;  (* reversed: deepest step first *)
-  t_budget : int;  (* remaining depth below this state *)
-  t_filter : int;  (* Por context filtering this state's successors *)
-  t_covered : int;  (* nonzero: expand only the sleep difference *)
-}
-
-type wstate = {
-  ws_session : Harness.session;
-  ws_cluster : Cluster.t;
-  ws_oracle : Oracle.t;
-  ws_fingerprint : unit -> string;
-  ws_root_ck : Harness.checkpoint;
-  (* The path the session is standing on, root-first; each checkpoint is
-     the state after applying its step. *)
-  mutable ws_path : (Schedule.step * Harness.checkpoint) list;
-  mutable ws_visited : int;
-  mutable ws_transitions : int;
-  mutable ws_cutoff : bool;
-  mutable ws_budget_hit : bool;
-  mutable ws_violation : (Schedule.step list * Oracle.violation list) option;
-}
-
-let make_wstate ~gc ~perms ~(config : Harness.config) () =
-  let session = Harness.make_session config in
-  let buf = Buffer.create 256 in
-  {
-    ws_session = session;
-    ws_cluster = Harness.cluster session;
-    ws_oracle = Harness.oracle session;
-    ws_fingerprint = (fun () -> Fingerprint.canonical ~buf ~gc ~perms session);
-    ws_root_ck = Harness.checkpoint session;
-    ws_path = [];
-    ws_visited = 0;
-    ws_transitions = 0;
-    ws_cutoff = false;
-    ws_budget_hit = false;
-    ws_violation = None;
-  }
-
-(* Move the worker's session to the state reached by [target] (the
-   root-first step prefix): roll back to the deepest common ancestor of
-   the current path, then replay the suffix.  Returns the checkpoint of
-   the target state. *)
-let position st (target : Schedule.step list) =
-  let rec split kept path target =
-    match (path, target) with
-    | (s, ck) :: path', step :: target' when s = step ->
-        split ((s, ck) :: kept) path' target'
-    | _ -> (kept, target)
-  in
-  let kept_rev, suffix = split [] st.ws_path target in
-  let base_ck =
-    match kept_rev with [] -> st.ws_root_ck | (_, ck) :: _ -> ck
-  in
-  Harness.rollback st.ws_session base_ck;
-  let path = ref kept_rev and ck = ref base_ck in
-  List.iter
-    (fun step ->
-      Harness.apply_step st.ws_session step;
-      Oracle.check_step st.ws_oracle st.ws_cluster;
-      ck := Harness.checkpoint st.ws_session;
-      path := (step, !ck) :: !path)
-    suffix;
-  st.ws_path <- List.rev !path;
-  !ck
-
-(* Expand one task: enumerate the (reduction-filtered) enabled steps,
-   apply each, run the oracle, claim the successor, and push every
-   Expand verdict as a stealable child task. *)
-let execute_task ~space ~por ~(config : Harness.config) ~seen
-    ~(stop : bool Atomic.t) st ~push task =
-  if not (Atomic.get stop) then begin
-    let ck = position st (List.rev task.t_trace) in
-    if task.t_budget = 0 then st.ws_cutoff <- true
-    else begin
-      let steps = Space.enabled space ~config ~cluster:st.ws_cluster in
-      let steps =
-        if not por then steps
-        else if task.t_covered = 0 then Por.filter ~ctx:task.t_filter steps
-        else Por.filter_uncovered ~ctx:task.t_filter ~covered:task.t_covered steps
-      in
-      List.iter
-        (fun step ->
-          if not (Atomic.get stop) then begin
-            st.ws_transitions <- st.ws_transitions + 1;
-            Harness.apply_step st.ws_session step;
-            Oracle.check_step st.ws_oracle st.ws_cluster;
-            if not (Oracle.is_safe st.ws_oracle) then begin
-              st.ws_violation <-
-                Some
-                  (List.rev (step :: task.t_trace), Oracle.violations st.ws_oracle);
-              Atomic.set stop true
-            end
-            else begin
-              let budget = task.t_budget - 1 in
-              let ctx = if por then Por.rank step else 0 in
-              match Striped_seen.claim seen (st.ws_fingerprint ()) ~budget ~ctx with
-              | Striped_seen.Prune -> ()
-              | Striped_seen.Budget ->
-                  st.ws_budget_hit <- true;
-                  Atomic.set stop true
-              | Striped_seen.Expand { filter; covered } ->
-                  st.ws_visited <- st.ws_visited + 1;
-                  push
-                    {
-                      t_trace = step :: task.t_trace;
-                      t_budget = budget;
-                      t_filter = filter;
-                      t_covered = covered;
-                    }
-            end;
-            Harness.rollback st.ws_session ck
-          end)
-        steps
-    end
-  end
-
-let stealing_search ~jobs ~space ~symmetry ~por ~max_states ?progress
-    ~(config : Harness.config) ~depth () =
-  let perms = perms_for ~symmetry config in
-  let gc = Space.amnesia_free space in
-  (* The caller's own session serves the initial-state check and the
-     root fingerprint (the root state never changes across bounds). *)
-  let session = Harness.make_session config in
-  let cluster = Harness.cluster session in
-  let oracle = Harness.oracle session in
-  let buf = Buffer.create 256 in
-  let root_fp () = Fingerprint.canonical ~buf ~gc ~perms session in
-  let visited = ref 0 in
-  let transitions = ref 0 in
-  let peak_seen = ref 0 in
-  let distinct = ref 0 in
-  let spilled = ref 0 in
-  let worker_stats = ref [||] in
-  let result outcome depth =
-    {
-      outcome;
-      depth;
-      visited = !visited;
-      distinct = !distinct;
-      transitions = !transitions;
-      peak_seen = !peak_seen;
-      spilled = !spilled;
-      workers = !worker_stats;
-    }
-  in
-  Oracle.check_step oracle cluster;
-  if not (Oracle.is_safe oracle) then
-    result (Violation { trace = []; violations = Oracle.violations oracle }) 0
-  else if depth <= 0 then result (Safe { closed = false }) 0
-  else
-    Pool.with_pool ~jobs (fun pool ->
-        let merge_stats stats =
-          if Array.length !worker_stats = 0 then worker_stats := stats
-          else
-            worker_stats :=
-              Array.map2 Pool.add_steal_stats !worker_stats stats
-        in
-        let search_to bound =
-          let seen = Striped_seen.create ~max_states () in
-          ignore (Striped_seen.claim seen (root_fp ()) ~budget:bound ~ctx:0);
-          incr visited;
-          let stop = Atomic.make false in
-          let states = Array.make (Pool.jobs pool) None in
-          let init w =
-            let st = make_wstate ~gc ~perms ~config () in
-            states.(w) <- Some st;
-            st
-          in
-          let run st ~push task =
-            execute_task ~space ~por ~config ~seen ~stop st ~push task
-          in
-          let root_task =
-            { t_trace = []; t_budget = bound; t_filter = 0; t_covered = 0 }
-          in
-          let stats =
-            Pool.run_stealing pool ~seed:bound ~roots:[| root_task |] ~init ~run ()
-          in
-          merge_stats stats;
-          let tallies =
-            Array.to_list states |> List.filter_map Fun.id
-          in
-          List.iter
-            (fun st ->
-              visited := !visited + st.ws_visited;
-              transitions := !transitions + st.ws_transitions)
-            tallies;
-          distinct := checked_distinct seen;
-          peak_seen := max !peak_seen !distinct;
-          spilled := max !spilled (Striped_seen.spilled seen);
-          Striped_seen.close seen;
-          (match progress with
-          | Some f -> f ~depth:bound ~distinct:!distinct ~transitions:!transitions
-          | None -> ());
-          (* Merge in worker-index order; a violation outranks the state
-             budget (the more informative verdict).  Among workers'
-             equally short counterexamples the lowest worker index wins —
-             which one that is depends on the schedule, exactly like the
-             root-sharded search's choice depends on the shard map. *)
-          let violation =
-            List.fold_left
-              (fun best st ->
-                match (best, st.ws_violation) with
-                | None, v -> v
-                | v, _ -> v)
-              None tallies
-          in
-          match violation with
-          | Some (trace, violations) -> `Found (trace, violations)
-          | None ->
-              if List.exists (fun st -> st.ws_budget_hit) tallies then `Budget
-              else if List.exists (fun st -> st.ws_cutoff) tallies then `Cutoff
-              else `Closed
-        in
-        let rec iterate bound =
-          match search_to bound with
-          | `Found (trace, violations) ->
-              result (Violation { trace; violations }) (List.length trace)
-          | `Budget -> result Out_of_budget (bound - 1)
-          | `Closed -> result (Safe { closed = true }) bound
-          | `Cutoff ->
-              if bound >= depth then result (Safe { closed = false }) bound
-              else iterate (bound + 1)
-        in
-        iterate 1)
-
-let search ?(space = Space.default) ?symmetry ?(por = true) ?(max_states = 1_000_000)
-    ?progress ?(jobs = 1) ?(steal = true) ~(config : Harness.config) ~depth () =
-  let symmetry = resolve_symmetry ?symmetry config in
-  if jobs <= 1 || Pool.in_worker () then
-    sequential_search ~space ~symmetry ~por ~max_states ?progress ~config ~depth ()
-  else if steal then
-    stealing_search ~jobs ~space ~symmetry ~por ~max_states ?progress ~config ~depth ()
-  else
-    parallel_search ~jobs ~space ~symmetry ~por ~max_states ?progress ~config ~depth ()

@@ -29,10 +29,11 @@ type result = {
       (** peak entries in the store's on-disk spill tier (0 unless
           [DYNVOTE_MC_SPILL] enables spilling; see {!Striped_seen}) *)
   workers : Dynvote_exec.Pool.steal_stats array;
-      (** per-worker frontier statistics (tasks executed, steals, failed
-          steals, deque high-water), summed over the deepening
-          iterations; empty unless the work-stealing search ran
-          ([jobs > 1] with [steal]) *)
+      (** one entry per pool worker, summed over the deepening
+          iterations: [steals] counts the root actions the worker took
+          from the shared root cursor, [failed_steals] the cursor probes
+          that found none left (past the end, or the search stopping).
+          Empty when no deepening iteration ran. *)
 }
 
 val search :
@@ -42,7 +43,6 @@ val search :
   ?max_states:int ->
   ?progress:(depth:int -> distinct:int -> transitions:int -> unit) ->
   ?jobs:int ->
-  ?steal:bool ->
   config:Dynvote_chaos.Harness.config ->
   depth:int ->
   unit ->
@@ -58,25 +58,18 @@ val search :
     [max_states] (default 1_000_000) bounds the seen store.  [progress]
     is called after each completed deepening iteration.
 
-    [jobs] (default 1) parallelizes each deepening iteration over a
-    {!Dynvote_exec.Pool}: each worker drives its own private session
-    (cluster and oracle are mutable, never shared) and deduplicates
-    through one lock-striped fingerprint store, so [distinct] and the
-    [max_states] budget stay global.  With [steal] (the default) the
-    frontier is fully distributed: every expanded state's successors
-    become stealable tasks on Chase–Lev deques, each carrying its
-    checkpointed step prefix and {!Por} sleep context — local pops
-    replay one step, steals reposition by rollback-to-ancestor plus
-    prefix replay.  [steal:false] falls back to static root-alphabet
-    sharding (one worker per root action — deep narrow prefixes then
-    serialize on one worker).  Either way the verdict —
-    [Safe]/[Violation]/[Out_of_budget], the [closed] flag, the trace
-    length, and [distinct] on a [Safe] outcome — is independent of
-    [jobs] and [steal]; [visited], [transitions], [peak_seen],
-    [distinct] on a [Violation] (the store size when the search
-    stopped), [workers] and the choice among equally short
-    counterexamples may differ from the sequential search.  At
-    [jobs = 1] (and inside a pool worker) the sequential search runs
-    through the same store code, one uncontended shard, byte-identical
-    to every release since the parallel layer landed (the cram tests
-    pin it). *)
+    [jobs] (default 1) is the width of the {!Dynvote_exec.Pool} each
+    deepening iteration runs on.  Every width runs the same search: the
+    workers pull root actions from one shared cursor, each drives its
+    own private session (cluster and oracle are mutable, never shared)
+    below them, and all deduplicate through one lock-striped fingerprint
+    store, so [distinct] and the [max_states] budget stay global.  The
+    verdict — [Safe]/[Violation]/[Out_of_budget], the [closed] flag, the
+    trace length, and [distinct] on a [Safe] outcome — is independent of
+    [jobs]; [visited], [transitions], [peak_seen], [distinct] on a
+    [Violation] (the store size when the search stopped), [workers] and
+    the choice among equally short counterexamples may vary with the
+    interleaving.  At one job (and inside another pool's worker, where
+    the pool collapses to one job) the single worker takes the root
+    actions in order over a one-shard store: the traversal is
+    deterministic, and the cram tests pin its statistics. *)

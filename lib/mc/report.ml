@@ -35,22 +35,6 @@ let pp ppf (r : Checker.report) =
         (if replay_matches then "reproduces the same violation"
          else "DIVERGES from the explorer")
 
-(* The work-stealing frontier's per-worker counters, one line per
-   worker.  Scheduling-dependent (tasks, steals and deque depths vary
-   with the interleaving), so callers keep this off the cram-pinned
-   stdout — the CLI prints it on stderr under -v. *)
-let pp_workers ppf (workers : Dynvote_exec.Pool.steal_stats array) =
-  Array.iteri
-    (fun i (w : Dynvote_exec.Pool.steal_stats) ->
-      Fmt.pf ppf "  worker %d: %d tasks, %d steals, %d failed steals, max deque %d@."
-        i w.Dynvote_exec.Pool.tasks_executed w.Dynvote_exec.Pool.steals
-        w.Dynvote_exec.Pool.failed_steals w.Dynvote_exec.Pool.max_deque_depth)
-    workers
-
-let steal_totals (workers : Dynvote_exec.Pool.steal_stats array) =
-  Array.fold_left Dynvote_exec.Pool.add_steal_stats
-    Dynvote_exec.Pool.zero_steal_stats workers
-
 let pp_expectation ppf (r : Checker.report) =
   let expected = r.Checker.policy.Harness.expect_safe in
   match r.Checker.verdict with

@@ -51,17 +51,19 @@ let test_exception_propagation () =
 
 let test_no_nested_pools () =
   Alcotest.(check bool) "not in a worker outside" false (Pool.in_worker ());
+  let observe pool items =
+    Pool.map_list pool (fun _ -> (Pool.in_worker (), Pool.with_pool ~jobs:4 Pool.jobs)) items
+    |> List.iter (fun (in_worker, inner_jobs) ->
+           Alcotest.(check bool) "task sees in_worker" true in_worker;
+           Alcotest.(check int) "inner pool collapses to sequential" 1 inner_jobs)
+  in
   Pool.with_pool ~jobs:4 (fun pool ->
-      let observations =
-        Pool.map_list pool
-          (fun _ -> (Pool.in_worker (), Pool.with_pool ~jobs:4 Pool.jobs))
-          [ 1; 2; 3; 4 ]
-      in
-      List.iter
-        (fun (in_worker, inner_jobs) ->
-          Alcotest.(check bool) "task sees in_worker" true in_worker;
-          Alcotest.(check int) "inner pool collapses to sequential" 1 inner_jobs)
-        observations)
+      observe pool [ 1; 2; 3; 4 ];
+      (* One item takes the sequential branch of a wide pool. *)
+      observe pool [ 1 ]);
+  (* So does every call on a one-job pool. *)
+  Pool.with_pool ~jobs:1 (fun pool -> observe pool [ 1; 2; 3 ]);
+  Alcotest.(check bool) "in_worker restored after the call" false (Pool.in_worker ())
 
 (* Long enough (about 5,800 transitions) that the trace spans more than
    one chunk, so chunk boundaries are part of what must not depend on
@@ -116,198 +118,28 @@ let test_mc_safe_jobs_identical () = check_mc_parity ~name:"dv" ~depth:4
 
 let test_mc_violation_jobs_identical () = check_mc_parity ~name:"tdv" ~depth:5
 
-(* --- the work-stealing frontier -------------------------------------- *)
+let test_mc_patched_jobs_identical () = check_mc_parity ~name:"tdv-safe" ~depth:4
 
-module Deque = Dynvote_exec.Deque
-
-(* Single-domain oracle check: with no concurrency the Chase–Lev CAS
-   always succeeds, so [Retry] is impossible and every operation must
-   agree exactly with a reference two-ended queue (push at the back, pop
-   from the back, steal from the front).  Ops are encoded as ints:
-   0 = pop, 1 = steal, n >= 2 = push n. *)
-let deque_matches_model ops =
-  let d = Deque.create () in
-  let model = ref [] (* front .. back *) in
-  let ok = ref true in
-  let push v =
-    Deque.push d v;
-    model := !model @ [ v ]
-  in
-  let pop () =
-    let expected =
-      match List.rev !model with
-      | [] -> None
-      | v :: rest ->
-          model := List.rev rest;
-          Some v
-    in
-    if Deque.pop d <> expected then ok := false
-  in
-  let steal () =
-    let expected =
-      match !model with
-      | [] -> Deque.Empty
-      | v :: rest ->
-          model := rest;
-          Deque.Stolen v
-    in
-    if Deque.steal d <> expected then ok := false
+(* A search started inside a pool task gets a one-job pool (no nested
+   pools), so whatever [jobs] it asks for it must return exactly the
+   record of a top-level one-job search — traversal statistics and
+   per-worker cursor counts included. *)
+let test_mc_nested_search_is_sequential () =
+  let p = Option.get (Harness.policy_of_string "tdv-safe") in
+  let config = { (Checker.paper_config ()) with Harness.flavor = p.Harness.flavor } in
+  let top = Explorer.search ~jobs:1 ~config ~depth:4 () in
+  let nested =
+    Pool.with_pool ~jobs:2 (fun pool ->
+        Pool.map_list pool (fun () -> Explorer.search ~jobs:4 ~config ~depth:4 ()) [ (); () ])
   in
   List.iter
-    (fun op -> if op = 0 then pop () else if op = 1 then steal () else push op)
-    ops;
-  if Deque.size d <> List.length !model then ok := false;
-  while !model <> [] do
-    pop ()
-  done;
-  !ok && Deque.pop d = None && Deque.steal d = Deque.Empty
-
-let test_deque_model =
-  Helpers.qcheck_case ~count:500 ~name:"deque agrees with two-ended queue model"
-    QCheck.(list (int_range 0 50))
-    deque_matches_model
-
-(* The concurrent contract: under one owner (pushing and popping) and
-   several thief domains, every pushed value is consumed exactly once —
-   nothing lost, nothing duplicated.  An atomic consumed counter is the
-   join condition; the merged multiset of everyone's takes must be
-   exactly the pushed set. *)
-let test_deque_concurrent_exactly_once () =
-  let n = 20_000 and thieves = 3 in
-  let d = Deque.create () in
-  let consumed = Atomic.make 0 in
-  let thief_domains =
-    List.init thieves (fun _ ->
-        Domain.spawn (fun () ->
-            let mine = ref [] in
-            while Atomic.get consumed < n do
-              match Deque.steal d with
-              | Deque.Stolen v ->
-                  mine := v :: !mine;
-                  Atomic.incr consumed
-              | Deque.Empty | Deque.Retry -> Domain.cpu_relax ()
-            done;
-            !mine))
-  in
-  let owner = ref [] in
-  let take = function
-    | Some v ->
-        owner := v :: !owner;
-        Atomic.incr consumed
-    | None -> Domain.cpu_relax ()
-  in
-  for v = 0 to n - 1 do
-    Deque.push d v;
-    (* Interleave owner pops so the owner/thief last-element race is
-       actually exercised, not just bulk stealing. *)
-    if v mod 3 = 0 then take (Deque.pop d)
-  done;
-  while Atomic.get consumed < n do
-    take (Deque.pop d)
-  done;
-  let stolen = List.concat_map Domain.join thief_domains in
-  Alcotest.(check bool)
-    "every pushed value consumed exactly once" true
-    (List.sort compare (!owner @ stolen) = List.init n (fun i -> i))
-
-(* [run_stealing] on a task tree of known size: every node must be
-   executed exactly once regardless of the worker count, and the
-   scheduler must return one stats record per worker. *)
-let tree_nodes ~fanout ~depth =
-  let rec go d = if d = 0 then 1 else 1 + (fanout * go (d - 1)) in
-  go depth
-
-let total_tasks stats =
-  Array.fold_left (fun acc s -> acc + s.Pool.tasks_executed) 0 stats
-
-let test_run_stealing_counts () =
-  let fanout = 3 and depth = 7 in
-  let expected = tree_nodes ~fanout ~depth in
-  List.iter
-    (fun jobs ->
-      Pool.with_pool ~jobs (fun pool ->
-          let stats =
-            Pool.run_stealing pool ~roots:[| depth |]
-              ~init:(fun _ -> ())
-              ~run:(fun () ~push d ->
-                if d > 0 then
-                  for _ = 1 to fanout do
-                    push (d - 1)
-                  done)
-              ()
-          in
-          Alcotest.(check int) "one stats record per worker" (Pool.jobs pool)
-            (Array.length stats);
-          Alcotest.(check int)
-            (Printf.sprintf "all %d tree tasks executed once at -j%d" expected
-               jobs)
-            expected (total_tasks stats)))
-    [ 1; 4 ]
-
-let test_run_stealing_exception () =
-  Pool.with_pool ~jobs:4 (fun pool ->
-      (match
-         Pool.run_stealing pool ~roots:[| 6 |]
-           ~init:(fun _ -> ())
-           ~run:(fun () ~push d ->
-             if d = 2 then raise (Boom d)
-             else if d > 0 then (
-               push (d - 1);
-               push (d - 1)))
-           ()
-       with
-      | _ -> Alcotest.fail "expected Boom"
-      | exception Boom i -> Alcotest.(check int) "task exception re-raised" 2 i);
-      (* The pool survives an aborted schedule. *)
-      let stats =
-        Pool.run_stealing pool ~roots:[| 0 |]
-          ~init:(fun _ -> ())
-          ~run:(fun () ~push:_ _ -> ())
-          ()
-      in
-      Alcotest.(check int) "pool usable after abort" 1 (total_tasks stats))
-
-(* The end-to-end guarantee the frontier is sold on: model-checker
-   verdicts independent of both the job count and the scheduling policy
-   (stealing frontier vs root-alphabet shards). *)
-let check_mc_steal_parity ~name ~depth =
-  let p = Option.get (Harness.policy_of_string name) in
-  let report ~jobs ~steal =
-    Checker.check ~policy:p ~depth ~jobs ~steal (Checker.paper_config ())
-  in
-  let base = mc_summary (report ~jobs:1 ~steal:true) in
-  Alcotest.(check string)
-    (name ^ " -j4 stealing matches -j1")
-    base
-    (mc_summary (report ~jobs:4 ~steal:true));
-  Alcotest.(check string)
-    (name ^ " -j4 sharded matches -j1")
-    base
-    (mc_summary (report ~jobs:4 ~steal:false))
-
-let test_mc_steal_parity_dv () = check_mc_steal_parity ~name:"dv" ~depth:4
-
-let test_mc_steal_parity_tdv () = check_mc_steal_parity ~name:"tdv" ~depth:5
-
-let test_mc_steal_parity_tdv_safe () =
-  check_mc_steal_parity ~name:"tdv-safe" ~depth:4
-
-let steal_suite =
-  [
-    test_deque_model;
-    Alcotest.test_case "deque concurrent exactly-once" `Quick
-      test_deque_concurrent_exactly_once;
-    Alcotest.test_case "run_stealing executes the whole tree" `Quick
-      test_run_stealing_counts;
-    Alcotest.test_case "run_stealing exception propagation" `Quick
-      test_run_stealing_exception;
-    Alcotest.test_case "mc dv parity across jobs and steal" `Quick
-      test_mc_steal_parity_dv;
-    Alcotest.test_case "mc tdv parity across jobs and steal" `Quick
-      test_mc_steal_parity_tdv;
-    Alcotest.test_case "mc tdv-safe parity across jobs and steal" `Quick
-      test_mc_steal_parity_tdv_safe;
-  ]
+    (fun (r : Explorer.result) ->
+      Alcotest.(check int) "visited" top.Explorer.visited r.Explorer.visited;
+      Alcotest.(check int) "transitions" top.Explorer.transitions r.Explorer.transitions;
+      Alcotest.(check int) "distinct" top.Explorer.distinct r.Explorer.distinct;
+      Alcotest.(check int) "peak_seen" top.Explorer.peak_seen r.Explorer.peak_seen;
+      Alcotest.(check bool) "identical result record" true (r = top))
+    nested
 
 let suite =
   [
@@ -321,4 +153,8 @@ let suite =
       test_mc_safe_jobs_identical;
     Alcotest.test_case "mc violation verdict identical across jobs" `Quick
       test_mc_violation_jobs_identical;
+    Alcotest.test_case "mc patched-policy verdict identical across jobs" `Quick
+      test_mc_patched_jobs_identical;
+    Alcotest.test_case "mc search inside a pool task is the -j1 search" `Quick
+      test_mc_nested_search_is_sequential;
   ]

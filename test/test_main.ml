@@ -33,6 +33,5 @@ let () =
       ("crash", Test_crash.suite);
       ("shard", Test_shard.suite);
       ("exec", Test_exec.suite);
-      ("steal", Test_exec.steal_suite);
       ("misc", Test_misc.suite);
     ]

@@ -238,34 +238,6 @@ let test_search_spill_equivalence () =
   Alcotest.(check bool) "the spill tier actually engaged" true
     (spilled.Explorer.spilled > 0)
 
-(* Frontier-scheduling independence: the explorer's verdict, the
-   counterexample length, and the distinct count on a completed bound
-   must not depend on whether the parallel search uses the stealing
-   frontier or the root-alphabet shards — for a safe, an unsafe, and a
-   patched policy.  (Transitions may differ: which worker first admits a
-   state decides who expands it, and POR contexts can differ across
-   interleavings.  The summary deliberately excludes them.) *)
-let test_steal_shard_verdict_parity () =
-  let summary (r : Explorer.result) =
-    match r.Explorer.outcome with
-    | Explorer.Safe { closed } -> `Safe (closed, r.Explorer.distinct)
-    | Explorer.Violation { trace; _ } -> `Violation (List.length trace)
-    | Explorer.Out_of_budget -> `Out_of_budget
-  in
-  List.iter
-    (fun (name, depth) ->
-      let p = policy name in
-      let config =
-        { (Checker.paper_config ()) with Harness.flavor = p.Harness.flavor }
-      in
-      let run ~jobs ~steal = Explorer.search ~jobs ~steal ~config ~depth () in
-      let seq = summary (run ~jobs:1 ~steal:true) in
-      if summary (run ~jobs:4 ~steal:true) <> seq then
-        Alcotest.failf "%s: -j4 stealing frontier diverges from -j1" name;
-      if summary (run ~jobs:4 ~steal:false) <> seq then
-        Alcotest.failf "%s: -j4 root shards diverge from -j1" name)
-    [ ("dv", 4); ("tdv", 5); ("tdv-safe", 4) ]
-
 (* The paper's §3 four-copy topology: the published violation surfaces as
    a short schedule even at a shallow bound. *)
 let test_paper_example_tdv () =
@@ -317,8 +289,6 @@ let suite =
       test_seen_store_spill_equivalence;
     Alcotest.test_case "search under DYNVOTE_MC_SPILL is identical" `Quick
       test_search_spill_equivalence;
-    Alcotest.test_case "stealing and sharded verdicts agree" `Quick
-      test_steal_shard_verdict_parity;
     Alcotest.test_case "paper example: tdv counterexample" `Quick
       test_paper_example_tdv;
     Alcotest.test_case "deep sweep (DYNVOTE_MC_DEPTH)" `Slow test_deep_sweep;
