@@ -65,6 +65,25 @@ let test_no_nested_pools () =
   Pool.with_pool ~jobs:1 (fun pool -> observe pool [ 1; 2; 3 ]);
   Alcotest.(check bool) "in_worker restored after the call" false (Pool.in_worker ())
 
+(* A raising task must not leave the caller marked as a worker: after the
+   exception propagates, [in_worker] is back to what it was, on the
+   sequential branches (one job, one item) and the parallel one, so a
+   later pool built by the caller is not collapsed to one job. *)
+let test_in_worker_restored_after_exception () =
+  let raises pool items =
+    match Pool.map_list pool (fun i -> raise (Boom i)) items with
+    | _ -> Alcotest.fail "expected Boom"
+    | exception Boom _ -> ()
+  in
+  Pool.with_pool ~jobs:1 (fun pool -> raises pool [ 1; 2 ]);
+  Alcotest.(check bool) "cleared after a one-job failure" false (Pool.in_worker ());
+  Pool.with_pool ~jobs:4 (fun pool ->
+      raises pool [ 1 ];
+      Alcotest.(check bool) "cleared after a one-item failure" false (Pool.in_worker ());
+      raises pool [ 1; 2; 3; 4 ];
+      Alcotest.(check bool) "cleared after a parallel failure" false (Pool.in_worker ()));
+  Alcotest.(check int) "a later pool is still wide" 4 (Pool.with_pool ~jobs:4 Pool.jobs)
+
 (* Long enough (about 5,800 transitions) that the trace spans more than
    one chunk, so chunk boundaries are part of what must not depend on
    [jobs]. *)
@@ -157,4 +176,6 @@ let suite =
       test_mc_patched_jobs_identical;
     Alcotest.test_case "mc search inside a pool task is the -j1 search" `Quick
       test_mc_nested_search_is_sequential;
+    Alcotest.test_case "in_worker restored after a raising task" `Quick
+      test_in_worker_restored_after_exception;
   ]

@@ -238,6 +238,142 @@ let test_search_spill_equivalence () =
   Alcotest.(check bool) "the spill tier actually engaged" true
     (spilled.Explorer.spilled > 0)
 
+(* Job-count independence of the one search: the verdict, the
+   counterexample length, and the distinct count on a completed bound
+   must be the same at -j1, -j2 and -j4 — for a safe, an unsafe, and a
+   patched policy.  (Transitions may differ: which worker first admits a
+   state decides who expands it, and POR contexts can differ across
+   interleavings.  The summary deliberately excludes them.) *)
+let test_root_shard_verdict_parity () =
+  let summary (r : Explorer.result) =
+    match r.Explorer.outcome with
+    | Explorer.Safe { closed } -> `Safe (closed, r.Explorer.distinct)
+    | Explorer.Violation { trace; _ } -> `Violation (List.length trace)
+    | Explorer.Out_of_budget -> `Out_of_budget
+  in
+  List.iter
+    (fun (name, depth) ->
+      let p = policy name in
+      let config =
+        { (Checker.paper_config ()) with Harness.flavor = p.Harness.flavor }
+      in
+      let run jobs = Explorer.search ~jobs ~config ~depth () in
+      let seq = summary (run 1) in
+      List.iter
+        (fun jobs ->
+          if summary (run jobs) <> seq then
+            Alcotest.failf "%s: -j%d root shards diverge from -j1" name jobs)
+        [ 2; 4 ])
+    [ ("dv", 4); ("tdv", 5); ("tdv-safe", 4) ]
+
+(* The root cursor's ledger ([result.workers]).  [roots] is the size of
+   the root alphabet; [bounds] counts the deepening iterations through
+   the [progress] callback, which fires once per iteration. *)
+let root_count config =
+  let session = Harness.make_session config in
+  List.length
+    (Space.enabled Space.default ~config ~cluster:(Harness.cluster session))
+
+let search_counting_bounds ?max_states ~jobs ~config ~depth () =
+  let bounds = ref 0 in
+  let r =
+    Explorer.search ?max_states ~jobs ~config ~depth
+      ~progress:(fun ~depth:_ ~distinct:_ ~transitions:_ -> incr bounds)
+      ()
+  in
+  (r, !bounds)
+
+let total_taken (r : Explorer.result) =
+  Array.fold_left (fun acc w -> acc + w.Dynvote_exec.Pool.steals) 0 r.Explorer.workers
+
+(* At one job the single worker takes every root action once per bound,
+   in order, and ends each bound with exactly one probe past the end. *)
+let test_root_cursor_one_job () =
+  let config = two_sites Decision.dv_flavor in
+  let r, bounds = search_counting_bounds ~jobs:1 ~config ~depth:5 () in
+  (match r.Explorer.outcome with
+  | Explorer.Safe _ -> ()
+  | _ -> Alcotest.fail "dv must be safe on two sites at depth 5");
+  Alcotest.(check int) "one bound per reported depth" r.Explorer.depth bounds;
+  Alcotest.(check int) "one worker record" 1 (Array.length r.Explorer.workers);
+  let w = r.Explorer.workers.(0) in
+  Alcotest.(check int) "every root taken once per bound"
+    (root_count config * bounds) w.Dynvote_exec.Pool.steals;
+  Alcotest.(check int) "one empty probe per bound" bounds
+    w.Dynvote_exec.Pool.failed_steals
+
+(* At four jobs the workers split the root actions: each is taken by
+   exactly one worker per bound, and every worker leaves every bound
+   through exactly one empty probe (nothing stops a safe search). *)
+let test_root_cursor_split () =
+  let p = policy "tdv-safe" in
+  let config = { (Checker.paper_config ()) with Harness.flavor = p.Harness.flavor } in
+  let r, bounds = search_counting_bounds ~jobs:4 ~config ~depth:4 () in
+  (match r.Explorer.outcome with
+  | Explorer.Safe _ -> ()
+  | _ -> Alcotest.fail "tdv-safe must be safe at depth 4");
+  Alcotest.(check int) "one record per worker" 4 (Array.length r.Explorer.workers);
+  Alcotest.(check int) "every root taken exactly once per bound"
+    (root_count config * bounds) (total_taken r);
+  Array.iteri
+    (fun i w ->
+      Alcotest.(check int)
+        (Printf.sprintf "worker %d: one empty probe per bound" i)
+        bounds w.Dynvote_exec.Pool.failed_steals)
+    r.Explorer.workers
+
+(* A violation stops the search inside its last bound: every earlier
+   bound took all the roots, the last took at least the violating one
+   and not all of them past it at one job, which then never probes the
+   cursor again. *)
+let test_root_cursor_stops_on_violation () =
+  let p = policy "tdv" in
+  let config = { (Checker.paper_config ()) with Harness.flavor = p.Harness.flavor } in
+  let roots = root_count config in
+  List.iter
+    (fun jobs ->
+      let r, bounds = search_counting_bounds ~jobs ~config ~depth:5 () in
+      (match r.Explorer.outcome with
+      | Explorer.Violation _ -> ()
+      | _ -> Alcotest.failf "-j%d: tdv hole not found at depth 5" jobs);
+      let taken = total_taken r in
+      if taken <= roots * (bounds - 1) || taken > roots * bounds then
+        Alcotest.failf "-j%d: %d roots taken over %d bounds of %d roots" jobs
+          taken bounds roots;
+      if jobs = 1 then
+        Alcotest.(check int) "-j1: no empty probe in the stopped bound"
+          (bounds - 1) r.Explorer.workers.(0).Dynvote_exec.Pool.failed_steals)
+    [ 1; 4 ]
+
+(* The state budget is the other way a bound stops early; its verdict
+   and accounting must not depend on the job count either. *)
+let test_budget_jobs_identical () =
+  let config = Checker.paper_config ~flavor:Decision.tdv_safe_flavor () in
+  let run jobs =
+    fst (search_counting_bounds ~max_states:100 ~jobs ~config ~depth:6 ())
+  in
+  let seq = run 1 in
+  (match seq.Explorer.outcome with
+  | Explorer.Out_of_budget -> ()
+  | _ -> Alcotest.fail "a 100-state budget cannot cover the paper scope");
+  Alcotest.(check int) "-j1: exactly max_states admitted" 100 seq.Explorer.distinct;
+  let par = run 4 in
+  Alcotest.(check bool) "-j4: out of budget too" true
+    (par.Explorer.outcome = Explorer.Out_of_budget);
+  Alcotest.(check int) "same last completed bound" seq.Explorer.depth par.Explorer.depth
+
+(* No bound, no search: a depth-0 call runs no deepening iteration, so
+   it reports no worker records and no work at any width. *)
+let test_depth_zero_no_workers () =
+  List.iter
+    (fun jobs ->
+      let r = Explorer.search ~jobs ~config:(two_sites Decision.dv_flavor) ~depth:0 () in
+      Alcotest.(check int) "no worker records" 0 (Array.length r.Explorer.workers);
+      Alcotest.(check int) "no transitions" 0 r.Explorer.transitions;
+      Alcotest.(check bool) "safe, not closed" true
+        (r.Explorer.outcome = Explorer.Safe { closed = false }))
+    [ 1; 4 ]
+
 (* The paper's §3 four-copy topology: the published violation surfaces as
    a short schedule even at a shallow bound. *)
 let test_paper_example_tdv () =
@@ -289,6 +425,17 @@ let suite =
       test_seen_store_spill_equivalence;
     Alcotest.test_case "search under DYNVOTE_MC_SPILL is identical" `Quick
       test_search_spill_equivalence;
+    Alcotest.test_case "root-shard verdicts agree at -j1/-j2/-j4" `Quick
+      test_root_shard_verdict_parity;
+    Alcotest.test_case "root cursor: -j1 takes every root once per bound" `Quick
+      test_root_cursor_one_job;
+    Alcotest.test_case "root cursor: -j4 workers split the roots" `Quick
+      test_root_cursor_split;
+    Alcotest.test_case "root cursor: a violation stops the bound" `Quick
+      test_root_cursor_stops_on_violation;
+    Alcotest.test_case "budget verdict identical at -j1 and -j4" `Quick
+      test_budget_jobs_identical;
+    Alcotest.test_case "depth 0 runs no workers" `Quick test_depth_zero_no_workers;
     Alcotest.test_case "paper example: tdv counterexample" `Quick
       test_paper_example_tdv;
     Alcotest.test_case "deep sweep (DYNVOTE_MC_DEPTH)" `Slow test_deep_sweep;
